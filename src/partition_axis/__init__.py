@@ -10,19 +10,16 @@ from .axial import (
     compute_axis,
     compute_spine,
     interaction_graph,
-    shell_counts,
     thick_spine,
 )
-from .graph import UNREACHABLE, PartitionGraph, bfs_distances, build_graph, degree
+from .graph import UNREACHABLE, PartitionGraph, bfs_distances, build_graph
 from .invariants import (
     INVARIANTS,
     InvariantProfile,
     OracleInfeasibleError,
     all_profiles,
-    argmax_symmetry_check,
     local_clique_number,
     local_clique_number_oracle,
-    profile,
 )
 from .partitions import (
     Corner,
@@ -32,8 +29,6 @@ from .partitions import (
     enumerate_partitions,
     format_partition,
     is_self_conjugate,
-    iter_partitions,
-    parse_partition,
     transfer_neighbors,
 )
 from .pipeline import GraphAnalysis, analyze
@@ -51,7 +46,6 @@ __all__ = [
     "UNREACHABLE",
     "all_profiles",
     "analyze",
-    "argmax_symmetry_check",
     "axial_geometry",
     "bfs_distances",
     "build_graph",
@@ -60,17 +54,12 @@ __all__ = [
     "compute_spine",
     "conjugate",
     "corners",
-    "degree",
     "enumerate_partitions",
     "format_partition",
     "interaction_graph",
     "is_self_conjugate",
-    "iter_partitions",
     "local_clique_number",
     "local_clique_number_oracle",
-    "parse_partition",
-    "profile",
-    "shell_counts",
     "thick_spine",
     "transfer_neighbors",
 ]

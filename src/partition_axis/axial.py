@@ -34,7 +34,6 @@ class AxialGeometry:
 
     n: int
     axis: frozenset[int]
-    interaction_edges: frozenset[AxialPair]
     mediators: dict[AxialPair, frozenset[int]]
     spine: frozenset[int] | None
     ax_dist: tuple[int, ...] | None
@@ -45,10 +44,6 @@ class AxialGeometry:
     @property
     def is_axial(self) -> bool:
         return bool(self.axis)
-
-    def _require_axial(self) -> None:
-        if not self.is_axial:
-            raise AxislessGraphError(f"n={self.n} has no self-conjugate partition")
 
 
 def compute_axis(g: PartitionGraph) -> frozenset[int]:
@@ -64,14 +59,16 @@ def interaction_graph(
     Maps each unordered axis pair (a, b) with a < b to its nonempty set
     of mediators N(a) & N(b); non-interacting pairs are absent. Distinct
     axis vertices are never adjacent, so mediators are automatically
-    off-axis (asserted, not filtered).
+    off-axis; an axial mediator raises ValueError rather than being
+    filtered.
     """
     neighbor_sets = {a: set(g.adjacency[a]) for a in axis}
     pairs: dict[AxialPair, frozenset[int]] = {}
     for a, b in combinations(sorted(axis), 2):
         common = neighbor_sets[a] & neighbor_sets[b]
         if common:
-            assert not (common & axis), f"axial mediator for pair ({a},{b})"
+            if common & axis:
+                raise ValueError(f"axial mediator for pair ({a},{b})")
             pairs[(a, b)] = frozenset(common)
     return pairs
 
@@ -102,7 +99,6 @@ def axial_geometry(g: PartitionGraph) -> AxialGeometry:
         return AxialGeometry(
             n=g.n,
             axis=axis,
-            interaction_edges=frozenset(),
             mediators={},
             spine=None,
             ax_dist=None,
@@ -117,7 +113,6 @@ def axial_geometry(g: PartitionGraph) -> AxialGeometry:
     return AxialGeometry(
         n=g.n,
         axis=axis,
-        interaction_edges=frozenset(mediators),
         mediators=mediators,
         spine=spine,
         ax_dist=ax_dist,
@@ -127,27 +122,19 @@ def axial_geometry(g: PartitionGraph) -> AxialGeometry:
     )
 
 
-def central_region(geometry: AxialGeometry, r: int) -> frozenset[int]:
-    """Vertices within distance r of the axis; r=0 gives the axis itself."""
-    geometry._require_axial()
+def _ball(geometry: AxialGeometry, dist: tuple[int, ...] | None, r: int) -> frozenset[int]:
+    if not geometry.is_axial:
+        raise AxislessGraphError(f"n={geometry.n} has no self-conjugate partition")
     if r < 0:
         raise ValueError(f"radius must be nonnegative, got {r}")
-    return frozenset(v for v, d in enumerate(geometry.ax_dist) if 0 <= d <= r)
+    return frozenset(v for v, d in enumerate(dist) if 0 <= d <= r)
+
+
+def central_region(geometry: AxialGeometry, r: int) -> frozenset[int]:
+    """Vertices within distance r of the axis; r=0 gives the axis itself."""
+    return _ball(geometry, geometry.ax_dist, r)
 
 
 def thick_spine(geometry: AxialGeometry, r: int) -> frozenset[int]:
     """Vertices within distance r of the spine; r=0 gives the spine itself."""
-    geometry._require_axial()
-    if r < 0:
-        raise ValueError(f"radius must be nonnegative, got {r}")
-    return frozenset(v for v, d in enumerate(geometry.sp_dist) if 0 <= d <= r)
-
-
-def shell_counts(geometry: AxialGeometry) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Vertex counts at each exact axial / spinal distance.
-
-    Returned as dense arrays indexed by distance k; prefix sums recover
-    the sizes of the central regions and thick spines.
-    """
-    geometry._require_axial()
-    return geometry.ax_shells, geometry.sp_shells
+    return _ball(geometry, geometry.sp_dist, r)

@@ -324,8 +324,6 @@ _CHECKS: list[tuple[str, Callable[[GraphAnalysis], Outcome], bool, int | None]] 
     ("clique_oracle", _check_clique_oracle, False, ORACLE_N_LIMIT),
 ]
 
-CHECK_NAMES = tuple(name for name, _, _, _ in _CHECKS)
-
 
 def run_checks(n: int) -> list[CheckResult]:
     """All property suites for one n, axial ones skipped when axisless."""

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -45,6 +46,9 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"invalid range {args.n_min}..{args.n_max}")
 
     if args.command == "report":
+        max_threads = os.cpu_count() or 1
+        if not 1 <= args.threads <= max_threads:
+            parser.error(f"--threads must be between 1 and {max_threads}, got {args.threads}")
         if args.n_max > GOLDEN_RANGE_MAX:
             print(
                 f"warning: n > {GOLDEN_RANGE_MAX} is outside the verified dataset range; "

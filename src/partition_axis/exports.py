@@ -103,14 +103,7 @@ _GRAPHML_KEYS = [
     ("d_spdist", "node", "sp_dist", "int"),
 ]
 
-_NODE_KEY_IDS = {
-    "label": "d_label",
-    "class": "d_class",
-    "deg": "d_deg",
-    "omega_loc": "d_omega",
-    "ax_dist": "d_axdist",
-    "sp_dist": "d_spdist",
-}
+_NODE_KEY_IDS = {name: key_id for key_id, domain, name, _ in _GRAPHML_KEYS if domain == "node"}
 
 
 def render_graphml(analysis: GraphAnalysis) -> str:

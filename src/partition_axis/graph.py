@@ -10,7 +10,7 @@ permutation.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 from .partitions import Partition, conjugate, enumerate_partitions, transfer_neighbors
@@ -24,10 +24,6 @@ class PartitionGraph:
     vertices: tuple[Partition, ...]
     adjacency: tuple[tuple[int, ...], ...]
     conj: tuple[int, ...]
-    index: dict[Partition, int] = field(repr=False)
-
-    def vertex_id(self, parts: Partition) -> int:
-        return self.index[parts]
 
     @property
     def num_vertices(self) -> int:
@@ -52,7 +48,7 @@ def build_graph(n: int) -> PartitionGraph:
         tuple(sorted(index[m] for m in transfer_neighbors(p))) for p in vertices
     )
     conj = tuple(index[conjugate(p)] for p in vertices)
-    return PartitionGraph(n=n, vertices=vertices, adjacency=adjacency, conj=conj, index=index)
+    return PartitionGraph(n=n, vertices=vertices, adjacency=adjacency, conj=conj)
 
 
 def bfs_distances(g: PartitionGraph, sources: Iterable[int]) -> list[int]:
@@ -74,7 +70,3 @@ def bfs_distances(g: PartitionGraph, sources: Iterable[int]) -> list[int]:
                 dist[v] = du
                 queue.append(v)
     return dist
-
-
-def degree(g: PartitionGraph, v: int) -> int:
-    return len(g.adjacency[v])

@@ -8,7 +8,7 @@ maximizer set and the smallest axial / spinal radii enclosing it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
 
 from .axial import AxialGeometry
@@ -95,19 +95,11 @@ def local_clique_number_oracle(g: PartitionGraph, v: int) -> int:
     return 1 + best
 
 
-def degree_values(g: PartitionGraph) -> tuple[int, ...]:
-    return tuple(len(a) for a in g.adjacency)
-
-
-def omega_loc_values(g: PartitionGraph) -> tuple[int, ...]:
-    return tuple(local_clique_number(g, v) for v in range(g.num_vertices))
-
-
 def _enclosing_radius(argmax: frozenset[int], dist: tuple[int, ...]) -> int | None:
     # Smallest r whose distance ball contains all maximizers: the max
     # distance over the set. No finite r exists if any is unreachable.
-    radius = max(dist[v] for v in argmax)
-    return None if radius == UNREACHABLE else radius
+    distances = [dist[v] for v in argmax]
+    return None if UNREACHABLE in distances else max(distances)
 
 
 def _build_profile(
@@ -123,45 +115,27 @@ def _build_profile(
     return InvariantProfile(invariant_id, values, max_value, argmax, rho_ax, rho_sp)
 
 
-def profile(
-    g: PartitionGraph, geometry: AxialGeometry, invariant_id: str
-) -> InvariantProfile:
-    """Values, maximizer set and concentration radii for one invariant.
-
-    Radii are None for axisless n; values and argmax are still produced.
-    """
-    if invariant_id == DEG:
-        values = degree_values(g)
-    elif invariant_id == OMEGA_LOC:
-        values = omega_loc_values(g)
-    elif invariant_id == DIM_LOC:
-        values = tuple(x - 1 for x in omega_loc_values(g))
-    else:
-        raise ValueError(f"unknown invariant {invariant_id!r}")
-    return _build_profile(invariant_id, values, geometry)
-
-
 def all_profiles(
     g: PartitionGraph, geometry: AxialGeometry
 ) -> dict[str, InvariantProfile]:
-    """All three profiles, computing the clique values only once."""
-    omega = omega_loc_values(g)
-    return {
-        DEG: _build_profile(DEG, degree_values(g), geometry),
-        OMEGA_LOC: _build_profile(OMEGA_LOC, omega, geometry),
-        DIM_LOC: _build_profile(DIM_LOC, tuple(x - 1 for x in omega), geometry),
-    }
+    """Values, maximizer set and concentration radii for each invariant.
 
-
-def argmax_symmetry_check(prof: InvariantProfile, g: PartitionGraph) -> bool:
-    """Conjugation closure of the maximizer set, plus the parity rule.
-
-    True iff conjugation maps the argmax onto itself and, when the
-    argmax has odd size, at least one maximizer is self-conjugate.
+    Radii are None for axisless n; values and argmax are still produced.
+    The clique values are computed once; dim_loc is omega_loc shifted
+    down by one, so it shares omega_loc's argmax and radii.
     """
-    argmax = prof.argmax
-    if frozenset(g.conj[v] for v in argmax) != argmax:
-        return False
-    if len(argmax) % 2 == 1 and not any(g.conj[v] == v for v in argmax):
-        return False
-    return True
+    omega = _build_profile(
+        OMEGA_LOC,
+        tuple(local_clique_number(g, v) for v in range(g.num_vertices)),
+        geometry,
+    )
+    return {
+        DEG: _build_profile(DEG, tuple(len(a) for a in g.adjacency), geometry),
+        OMEGA_LOC: omega,
+        DIM_LOC: replace(
+            omega,
+            invariant_id=DIM_LOC,
+            values=tuple(x - 1 for x in omega.values),
+            max_value=omega.max_value - 1,
+        ),
+    }

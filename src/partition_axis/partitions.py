@@ -37,9 +37,9 @@ def validate_partition(parts: Partition) -> None:
             raise ValueError(f"parts must be nonincreasing, got {parts}")
 
 
-def iter_partitions(n: int) -> Iterator[Partition]:
-    """Yield all partitions of n in reverse-lexicographic order
-    (largest part first), starting at ``(n,)`` and ending at ``(1,)*n``."""
+def enumerate_partitions(n: int) -> list[Partition]:
+    """All p(n) partitions of n in reverse-lexicographic order (largest
+    part first), starting at ``(n,)`` and ending at ``(1,)*n``."""
     if n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
 
@@ -52,12 +52,7 @@ def iter_partitions(n: int) -> Iterator[Partition]:
             yield from rec(remaining - k, k, prefix)
             prefix.pop()
 
-    yield from rec(n, n, [])
-
-
-def enumerate_partitions(n: int) -> list[Partition]:
-    """All partitions of n, reverse-lexicographic, length p(n)."""
-    return list(iter_partitions(n))
+    return list(rec(n, n, []))
 
 
 def conjugate(parts: Partition) -> Partition:
@@ -132,9 +127,3 @@ def transfer_neighbors(parts: Partition) -> set[Partition]:
 def format_partition(parts: Partition) -> str:
     """Textual form used in exports: comma-separated parts, e.g. "3,2,1"."""
     return ",".join(str(p) for p in parts)
-
-
-def parse_partition(text: str) -> Partition:
-    parts = tuple(int(tok) for tok in text.split(","))
-    validate_partition(parts)
-    return parts

@@ -12,7 +12,7 @@ import hashlib
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -140,27 +140,6 @@ def render_shells(summaries: list[RangeSummary]) -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass
-class RunManifest:
-    n_min: int
-    n_max: int
-    timestamp: str
-    version: str
-    per_n_seconds: dict[int, float]
-    files: dict[str, str] = field(default_factory=dict)
-
-    def to_json(self) -> str:
-        payload = {
-            "n_min": self.n_min,
-            "n_max": self.n_max,
-            "timestamp": self.timestamp,
-            "version": self.version,
-            "per_n_seconds": {str(n): round(t, 6) for n, t in self.per_n_seconds.items()},
-            "files": self.files,
-        }
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
 def _sha256(path: Path) -> str:
     return "sha256:" + hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -185,15 +164,15 @@ def run_range(n_min: int, n_max: int, out_dir: Path, threads: int = 1) -> list[P
         path.write_text(text, newline="\n")
         written.append(path)
 
-    manifest = RunManifest(
-        n_min=n_min,
-        n_max=n_max,
-        timestamp=datetime.now(timezone.utc).isoformat(),
-        version=__version__,
-        per_n_seconds={s.n: s.seconds for s in summaries},
-        files={p.name: _sha256(p) for p in written},
-    )
+    manifest = {
+        "n_min": n_min,
+        "n_max": n_max,
+        "timestamp": datetime.now(timezone.utc).isoformat(),
+        "version": __version__,
+        "per_n_seconds": {str(s.n): round(s.seconds, 6) for s in summaries},
+        "files": {p.name: _sha256(p) for p in written},
+    }
     manifest_path = out_dir / "manifest.json"
-    manifest_path.write_text(manifest.to_json(), newline="\n")
+    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", newline="\n")
     written.append(manifest_path)
     return written

@@ -2,12 +2,12 @@ import pytest
 
 from partition_axis import (
     AxislessGraphError,
+    PartitionGraph,
     analyze,
     central_region,
     compute_axis,
     compute_spine,
     interaction_graph,
-    shell_counts,
     thick_spine,
 )
 
@@ -47,13 +47,13 @@ class TestInteractionGraph:
     def test_n9_two_axial_vertices_never_interact(self):
         a = analyze(9)
         assert len(a.geometry.axis) == 2
-        assert a.geometry.interaction_edges == frozenset()
+        assert a.geometry.mediators == {}
         assert a.geometry.spine == a.geometry.axis
 
     def test_n8_mediators(self):
         a = analyze(8)
-        assert len(a.geometry.interaction_edges) == 1
-        (pair,) = a.geometry.interaction_edges
+        assert len(a.geometry.mediators) == 1
+        (pair,) = a.geometry.mediators
         mediators = a.geometry.mediators[pair]
         assert names(a, mediators) == [(3, 2, 2, 1), (3, 3, 1, 1), (4, 2, 2), (4, 3, 1)]
         # mediators are common neighbors, recomputed from raw adjacency
@@ -65,7 +65,18 @@ class TestInteractionGraph:
         for n in range(3, 20):
             geom = analyze(n).geometry
             assert all(geom.mediators.values())
-            assert frozenset(geom.mediators) == geom.interaction_edges
+            assert all(a < b and {a, b} <= geom.axis for a, b in geom.mediators)
+
+    def test_axial_mediator_is_an_error(self):
+        # Hand-made graph: "axis" vertices 0 and 1 share the axial neighbour 2.
+        g = PartitionGraph(
+            n=3,
+            vertices=((3,), (2, 1), (1, 1, 1)),
+            adjacency=((2,), (2,), (0, 1)),
+            conj=(0, 1, 2),
+        )
+        with pytest.raises(ValueError, match="axial mediator"):
+            interaction_graph(g, frozenset({0, 1, 2}))
 
 
 class TestSpine:
@@ -143,14 +154,14 @@ class TestThickSpine:
 
 class TestShells:
     def test_n8_values(self):
-        ax, sp = shell_counts(analyze(8).geometry)
-        assert ax == (2, 8, 8, 2, 2)
-        assert sp == (6, 8, 4, 2, 2)
+        geom = analyze(8).geometry
+        assert geom.ax_shells == (2, 8, 8, 2, 2)
+        assert geom.sp_shells == (6, 8, 4, 2, 2)
 
     def test_shell_zero_and_total(self):
         for n in range(3, 21):
             a = analyze(n)
-            ax, sp = shell_counts(a.geometry)
+            ax, sp = a.geometry.ax_shells, a.geometry.sp_shells
             assert ax[0] == len(a.geometry.axis)
             assert sp[0] == len(a.geometry.spine)
             assert sum(ax) == sum(sp) == a.graph.num_vertices
@@ -158,7 +169,7 @@ class TestShells:
     def test_prefix_sums_match_regions(self):
         for n in (8, 12, 15):
             geom = analyze(n).geometry
-            ax, sp = shell_counts(geom)
+            ax, sp = geom.ax_shells, geom.sp_shells
             for r in range(len(ax)):
                 assert sum(ax[: r + 1]) == len(central_region(geom, r))
             for r in range(len(sp)):
@@ -180,8 +191,6 @@ class TestAxisless:
             central_region(geom, 1)
         with pytest.raises(AxislessGraphError):
             thick_spine(geom, 0)
-        with pytest.raises(AxislessGraphError):
-            shell_counts(geom)
 
 
 def test_interaction_graph_matches_direct_recomputation():

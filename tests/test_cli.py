@@ -1,3 +1,5 @@
+import os
+
 import pytest
 
 from partition_axis.cli import main
@@ -27,11 +29,15 @@ def test_report_threads_flag(tmp_path):
     ["report", "--n-min", "0", "--n-max", "5"],
     ["report", "--n-min", "9", "--n-max", "3"],
     ["verify", "--n-min", "-2", "--n-max", "4"],
+    ["report", "--n-min", "1", "--n-max", "3", "--threads", "0"],
+    ["report", "--n-min", "1", "--n-max", "3", "--threads", "-3"],
+    ["report", "--n-min", "1", "--n-max", "3", "--threads", str((os.cpu_count() or 1) + 1)],
 ])
 def test_invalid_range_is_usage_error(args, tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(args + (["--out-dir", str(tmp_path)] if args[0] == "report" else []))
     assert exc.value.code == 2
+    assert not any(tmp_path.iterdir())
 
 
 def test_export_unsupported_format_is_usage_error(tmp_path):

@@ -1,6 +1,6 @@
 import pytest
 
-from partition_axis import UNREACHABLE, bfs_distances, build_graph, degree
+from partition_axis import UNREACHABLE, bfs_distances, build_graph
 
 
 def test_rejects_invalid_n():
@@ -26,7 +26,7 @@ def test_n2_conjugate_pair():
 def test_vertices_in_enumeration_order_with_index():
     g = build_graph(6)
     for i, parts in enumerate(g.vertices):
-        assert g.vertex_id(parts) == i
+        assert g.vertices.index(parts) == i
 
 
 def test_adjacency_sorted_symmetric_irreflexive():
@@ -56,10 +56,10 @@ def test_max_degree_n10():
 
 def test_degree_examples():
     g = build_graph(1)
-    assert degree(g, 0) == 0
+    assert len(g.adjacency[0]) == 0
 
     g6 = build_graph(6)
-    degs = [degree(g6, v) for v in range(g6.num_vertices)]
+    degs = [len(row) for row in g6.adjacency]
     assert max(degs) == 6
     assert degs.count(6) == 1
 
@@ -71,11 +71,11 @@ class TestBfs:
 
     def test_three_vertex_path(self):
         g = build_graph(3)
-        mid = g.vertex_id((2, 1))
+        mid = g.vertices.index((2, 1))
         dist = bfs_distances(g, [mid])
         assert dist[mid] == 0
-        assert dist[g.vertex_id((3,))] == 1
-        assert dist[g.vertex_id((1, 1, 1))] == 1
+        assert dist[g.vertices.index((3,))] == 1
+        assert dist[g.vertices.index((1, 1, 1))] == 1
 
     def test_empty_sources_all_unreachable(self):
         g = build_graph(5)

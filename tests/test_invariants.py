@@ -1,14 +1,16 @@
+from dataclasses import replace
+
 import pytest
 
 from partition_axis import (
     OracleInfeasibleError,
     analyze,
-    argmax_symmetry_check,
     local_clique_number,
     local_clique_number_oracle,
-    profile,
 )
-from partition_axis.invariants import DEG, DIM_LOC, INVARIANTS, OMEGA_LOC
+from partition_axis.checks import _check_argmax_symmetry, _check_dim_shift
+from partition_axis.graph import UNREACHABLE
+from partition_axis.invariants import DEG, DIM_LOC, INVARIANTS, OMEGA_LOC, _enclosing_radius
 
 
 class TestLocalCliqueNumber:
@@ -23,14 +25,14 @@ class TestLocalCliqueNumber:
     def test_triangle_member(self):
         # (2,2) has exactly the neighbors (3,1) and (2,1,1), themselves adjacent
         g = analyze(4).graph
-        v = g.vertex_id((2, 2))
+        v = g.vertices.index((2, 2))
         assert len(g.adjacency[v]) == 2
         assert local_clique_number(g, v) == 3
 
     def test_path_center(self):
         # (2,1) sits between (3) and (1,1,1), which are not adjacent
         g = analyze(3).graph
-        v = g.vertex_id((2, 1))
+        v = g.vertices.index((2, 1))
         assert local_clique_number(g, v) == 2
 
     def test_n29_max_is_eight(self):
@@ -57,8 +59,7 @@ class TestOracle:
 
 class TestProfile:
     def test_n13_degree(self):
-        a = analyze(13)
-        p = profile(a.graph, a.geometry, DEG)
+        p = analyze(13).profiles[DEG]
         assert p.max_value == 14
         assert len(p.argmax) == 6
         assert p.rho_ax == 2
@@ -69,8 +70,7 @@ class TestProfile:
         assert (p.max_value, len(p.argmax), p.rho_ax, p.rho_sp) == (7, 287, 4, 4)
 
     def test_axisless_radii_undefined(self):
-        a = analyze(2)
-        p = profile(a.graph, a.geometry, DEG)
+        p = analyze(2).profiles[DEG]
         assert p.max_value == 1
         assert len(p.argmax) == 2
         assert p.rho_ax is None and p.rho_sp is None
@@ -80,6 +80,7 @@ class TestProfile:
         om = a.profiles[OMEGA_LOC]
         dm = a.profiles[DIM_LOC]
         assert dm.values == tuple(x - 1 for x in om.values)
+        assert dm.max_value == om.max_value - 1
         assert dm.argmax == om.argmax
         assert (dm.rho_ax, dm.rho_sp) == (om.rho_ax, om.rho_sp)
 
@@ -91,11 +92,6 @@ class TestProfile:
                 v for v, x in enumerate(p.values) if x == p.max_value
             )
             assert p.argmax
-
-    def test_rejects_unknown_invariant(self):
-        a = analyze(5)
-        with pytest.raises(ValueError):
-            profile(a.graph, a.geometry, "girth")
 
     def test_radius_comparison(self):
         for n in range(3, 19):
@@ -113,13 +109,19 @@ class TestProfile:
                 assert om[v] >= 2
 
 
+class TestEnclosingRadius:
+    def test_any_unreachable_maximizer_gives_none(self):
+        assert _enclosing_radius(frozenset({0, 1}), (3, UNREACHABLE)) is None
+        assert _enclosing_radius(frozenset({1}), (3, UNREACHABLE)) is None
+
+
 class TestArgmaxSymmetry:
     def test_n10_omega(self):
         a = analyze(10)
         p = a.profiles[OMEGA_LOC]
         assert len(p.argmax) == 24
         assert len(p.argmax & a.geometry.axis) == 2
-        assert argmax_symmetry_check(p, a.graph)
+        assert _check_argmax_symmetry(a) == (True, "")
 
     def test_n21_unique_maximizer_is_axial(self):
         a = analyze(21)
@@ -127,24 +129,41 @@ class TestArgmaxSymmetry:
         assert len(p.argmax) == 1
         (v,) = p.argmax
         assert v in a.geometry.axis
-        assert argmax_symmetry_check(p, a.graph)
+        assert _check_argmax_symmetry(a) == (True, "")
 
     def test_holds_for_all_invariants_small_range(self):
         for n in range(1, 15):
-            a = analyze(n)
-            for inv in INVARIANTS:
-                assert argmax_symmetry_check(a.profiles[inv], a.graph)
+            assert _check_argmax_symmetry(analyze(n)) == (True, "")
 
     def test_detects_broken_symmetry(self):
         a = analyze(4)
-        fake = profile(a.graph, a.geometry, DEG)
-        broken = type(fake)(
-            invariant_id=fake.invariant_id,
-            values=fake.values,
-            max_value=fake.max_value,
-            argmax=frozenset([next(iter(fake.argmax))]),
-            rho_ax=fake.rho_ax,
-            rho_sp=fake.rho_sp,
-        )
+        deg = a.profiles[DEG]
         # a single non-self-conjugate maximizer violates both clauses
-        assert not argmax_symmetry_check(broken, a.graph)
+        lone = next(v for v in deg.argmax if a.graph.conj[v] != v)
+        broken = replace(a, profiles={**a.profiles, DEG: replace(deg, argmax=frozenset([lone]))})
+        ok, detail = _check_argmax_symmetry(broken)
+        assert not ok
+        assert detail == "deg: argmax not conjugation-closed"
+
+    def test_detects_odd_argmax_off_axis(self):
+        # With an involutive conj an off-axis closed set is even, so the
+        # parity clause needs a tampered conj: a 3-cycle with no fixed point.
+        a = analyze(3)
+        graph = replace(a.graph, conj=(1, 2, 0))
+        deg = replace(a.profiles[DEG], argmax=frozenset({0, 1, 2}))
+        broken = replace(a, graph=graph, profiles={**a.profiles, DEG: deg})
+        assert _check_argmax_symmetry(broken) == (False, "deg: odd argmax avoids the axis")
+
+
+class TestDimShift:
+    @pytest.mark.parametrize("field, tamper, detail", [
+        ("values", lambda p: p.values[:-1] + (p.values[-1] + 1,), "dim_loc values are not omega_loc - 1"),
+        ("argmax", lambda p: p.argmax - {min(p.argmax)}, "dim_loc argmax differs from omega_loc argmax"),
+        ("rho_ax", lambda p: p.rho_ax + 1, "dim_loc radii differ from omega_loc radii"),
+    ])
+    def test_detects_tampered_dim_loc(self, field, tamper, detail):
+        a = analyze(12)
+        dim = a.profiles[DIM_LOC]
+        tampered = replace(dim, **{field: tamper(dim)})
+        broken = replace(a, profiles={**a.profiles, DIM_LOC: tampered})
+        assert _check_dim_shift(broken) == (False, detail)

@@ -6,7 +6,6 @@ from partition_axis import (
     enumerate_partitions,
     format_partition,
     is_self_conjugate,
-    parse_partition,
     transfer_neighbors,
 )
 from partition_axis.checks import pentagonal_partition_count
@@ -170,13 +169,3 @@ class TestTextForm:
     def test_format(self):
         assert format_partition((3, 2, 1)) == "3,2,1"
         assert format_partition((10,)) == "10"
-
-    def test_roundtrip(self):
-        for parts in enumerate_partitions(7):
-            assert parse_partition(format_partition(parts)) == parts
-
-    def test_parse_rejects_invalid(self):
-        with pytest.raises(ValueError):
-            parse_partition("1,2")
-        with pytest.raises(ValueError):
-            parse_partition("3,0")
