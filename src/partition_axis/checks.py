@@ -198,12 +198,13 @@ def _check_spine_membership(a: GraphAnalysis) -> Outcome:
 
 def _check_filtration_sandwich(a: GraphAnalysis) -> Outcome:
     geom = a.geometry
+    central = central_region(geom, 0)
     for r in range(len(geom.ax_shells) + 1):
-        central = central_region(geom, r)
         thick = thick_spine(geom, r)
         if not central <= thick:
             return False, f"central region r={r} escapes thick spine r={r}"
-        if not thick <= central_region(geom, r + 1):
+        central = central_region(geom, r + 1)  # reused as step r+1's ball
+        if not thick <= central:
             return False, f"thick spine r={r} escapes central region r={r + 1}"
     return True, ""
 
@@ -294,7 +295,7 @@ def _check_clique_oracle(a: GraphAnalysis) -> Outcome:
         if fast != slow:
             return False, (
                 f"omega_loc disagreement at {format_partition(g.vertices[v])}: "
-                f"search={fast}, oracle={slow}"
+                f"count={fast}, oracle={slow}"
             )
     return True, ""
 

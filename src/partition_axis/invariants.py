@@ -8,11 +8,13 @@ maximizer set and the smallest axial / spinal radii enclosing it.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace
 from itertools import combinations
 
 from .axial import AxialGeometry
 from .graph import UNREACHABLE, PartitionGraph
+from .partitions import transfer_moves
 
 DEG = "deg"
 OMEGA_LOC = "omega_loc"
@@ -36,37 +38,24 @@ class InvariantProfile:
     rho_sp: int | None
 
 
-def _max_clique_size(candidates: set[int], adj: dict[int, set[int]]) -> int:
-    """Largest clique among ``candidates``, by pivoted branch enumeration."""
-    best = 0
-
-    def expand(size: int, p: set[int], x: set[int]) -> None:
-        nonlocal best
-        if not p and not x:
-            if size > best:
-                best = size
-            return
-        pivot = max(p | x, key=lambda u: len(p & adj[u]))
-        for v in list(p - adj[pivot]):
-            expand(size + 1, p & adj[v], x & adj[v])
-            p.remove(v)
-            x.add(v)
-
-    expand(0, set(candidates), set())
-    return best
-
-
 def local_clique_number(g: PartitionGraph, v: int) -> int:
     """1 + the clique number of the subgraph induced on N(v).
 
+    A unit transfer is fixed by its (donor size, receiver size) pair,
+    receiver 0 meaning a new part. As sorted part vectors, a neighbour of
+    lambda = g.vertices[v] is lambda - e_r + e_s, so two neighbours differ
+    in two places, and are adjacent, exactly when they share the donor or
+    the receiver; otherwise they differ in four. N(v) is therefore an
+    induced subgraph of a rook's graph, and its largest clique is the
+    largest set of transfers sharing a donor or sharing a receiver.
     Isolated vertices score 1 (the vertex alone is its largest clique).
     """
-    neighborhood = g.adjacency[v]
-    if not neighborhood:
+    moves = transfer_moves(g.vertices[v])
+    if not moves:
         return 1
-    members = set(neighborhood)
-    induced = {u: set(g.adjacency[u]) & members for u in neighborhood}
-    return 1 + _max_clique_size(members, induced)
+    donors = Counter(d for d, _ in moves)
+    receivers = Counter(r for _, r in moves)
+    return 1 + max(*donors.values(), *receivers.values())
 
 
 def local_clique_number_oracle(g: PartitionGraph, v: int) -> int:

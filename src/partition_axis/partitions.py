@@ -92,35 +92,42 @@ def corners(parts: Partition) -> list[Corner]:
     return found
 
 
+def transfer_moves(parts: Partition) -> list[tuple[int, int]]:
+    """Distinct (donor size, receiver size) pairs of unit transfers.
+
+    Receiver 0 is a newly adjoined part. The outcome of a transfer
+    depends only on the two sizes, so each pair is one neighbour. A
+    transfer from size v onto size v-1 reproduces the input and is
+    skipped; v onto v needs two parts of size v.
+    """
+    validate_partition(parts)
+    mult = Counter(parts)
+    values = sorted(mult)
+    return [
+        (v, w)
+        for v in values
+        for w in values + [0]
+        if w != v - 1 and (w != v or mult[v] >= 2)
+    ]
+
+
 def transfer_neighbors(parts: Partition) -> set[Partition]:
     """Partitions reachable by moving one unit between two distinct parts.
 
     One part shrinks by 1 (vanishing if it was 1), a different part or a
     newly adjoined zero part grows by 1, and the result is resorted.
-    The outcome depends only on the donor/receiver sizes, so candidates
-    are enumerated over distinct part values. A transfer from a part of
-    size v onto a part of size v-1 reproduces the same multiset and is
-    skipped, keeping the result free of the input itself.
     """
-    validate_partition(parts)
-    mult = Counter(parts)
-    values = sorted(mult)
     out: set[Partition] = set()
-    for v in values:
-        for w in values + [0]:
-            if w == v - 1:
-                continue
-            if w == v and mult[v] < 2:
-                continue
-            moved = list(parts)
-            moved.remove(v)
-            if w:
-                moved.remove(w)
-            if v > 1:
-                moved.append(v - 1)
-            moved.append(w + 1)
-            moved.sort(reverse=True)
-            out.add(tuple(moved))
+    for v, w in transfer_moves(parts):
+        moved = list(parts)
+        moved.remove(v)
+        if w:
+            moved.remove(w)
+        if v > 1:
+            moved.append(v - 1)
+        moved.append(w + 1)
+        moved.sort(reverse=True)
+        out.add(tuple(moved))
     return out
 
 

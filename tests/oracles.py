@@ -2,8 +2,9 @@
 
 These deliberately avoid the library's own algorithms: conjugation is
 done by transposing an explicit cell set, transfers by trying every
-(donor index, receiver index) pair, and corners by checking that the
-cell set stays downward-closed.
+(donor index, receiver index) pair, corners by checking that the cell
+set stays downward-closed, and the local clique number by a pivoted
+branch search over the adjacency lists.
 """
 
 from __future__ import annotations
@@ -64,3 +65,33 @@ def addable_cells(parts):
         if (i, j) not in diagram
     }
     return {c for c in candidates if is_downward_closed(diagram | {c})}
+
+
+def _max_clique_size(candidates: set[int], adj: dict[int, set[int]]) -> int:
+    """Largest clique among ``candidates``, by pivoted branch enumeration."""
+    best = 0
+
+    def expand(size: int, p: set[int], x: set[int]) -> None:
+        nonlocal best
+        if not p and not x:
+            if size > best:
+                best = size
+            return
+        pivot = max(p | x, key=lambda u: len(p & adj[u]))
+        for v in list(p - adj[pivot]):
+            expand(size + 1, p & adj[v], x & adj[v])
+            p.remove(v)
+            x.add(v)
+
+    expand(0, set(candidates), set())
+    return best
+
+
+def local_clique_number_by_search(g, v):
+    """1 + the clique number of the graph induced on N(v), searched."""
+    neighborhood = g.adjacency[v]
+    if not neighborhood:
+        return 1
+    members = set(neighborhood)
+    induced = {u: set(g.adjacency[u]) & members for u in neighborhood}
+    return 1 + _max_clique_size(members, induced)

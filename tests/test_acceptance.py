@@ -50,6 +50,14 @@ def test_criterion_2_extremal_location_table(full_report):
     assert _verdict("criterion-2 extremal-location-table", ok)
 
 
+def test_criterion_2_shells_table(full_report):
+    out_dir, _ = full_report
+    emitted = (out_dir / "shells.csv").read_bytes()
+    expected = (GOLDEN / "shells.csv").read_bytes()
+    ok = emitted == expected
+    assert _verdict("criterion-2 shells-table", ok)
+
+
 def test_criterion_3_radius_bounds(full_report):
     deg_ax, deg_sp, clique = [], [], []
     for n in range(FULL_RANGE[0], FULL_RANGE[1] + 1):

@@ -12,6 +12,8 @@ from partition_axis.checks import _check_argmax_symmetry, _check_dim_shift
 from partition_axis.graph import UNREACHABLE
 from partition_axis.invariants import DEG, DIM_LOC, INVARIANTS, OMEGA_LOC, _enclosing_radius
 
+from oracles import local_clique_number_by_search
+
 
 class TestLocalCliqueNumber:
     def test_isolated_vertex(self):
@@ -45,6 +47,12 @@ class TestOracle:
             g = analyze(n).graph
             for v in range(g.num_vertices):
                 assert local_clique_number(g, v) == local_clique_number_oracle(g, v)
+
+    def test_agrees_with_pivoted_search_through_n30(self):
+        for n in range(1, 31):
+            g = analyze(n).graph
+            for v in range(g.num_vertices):
+                assert local_clique_number(g, v) == local_clique_number_by_search(g, v), (n, v)
 
     def test_isolated(self):
         assert local_clique_number_oracle(analyze(1).graph, 0) == 1
