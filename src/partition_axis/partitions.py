@@ -7,8 +7,7 @@ free, so partitions can be used directly as dict keys and set members.
 
 from __future__ import annotations
 
-from collections import Counter
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 Partition = tuple[int, ...]
 
@@ -39,28 +38,41 @@ def validate_partition(parts: Partition) -> None:
 
 def enumerate_partitions(n: int) -> list[Partition]:
     """All p(n) partitions of n in reverse-lexicographic order (largest
-    part first), starting at ``(n,)`` and ending at ``(1,)*n``."""
+    part first), starting at ``(n,)`` and ending at ``(1,)*n``.
+
+    Each partition follows from the previous one: strip the trailing 1s,
+    decrement the last remaining part to k, and refill the freed total
+    greedily with parts of size at most k.
+    """
     if n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
-
-    def rec(remaining: int, cap: int, prefix: list[int]) -> Iterator[Partition]:
-        if remaining == 0:
-            yield tuple(prefix)
-            return
-        for k in range(min(cap, remaining), 0, -1):
-            prefix.append(k)
-            yield from rec(remaining - k, k, prefix)
-            prefix.pop()
-
-    return list(rec(n, n, []))
+    parts = [n]
+    found = [(n,)]
+    while parts[0] > 1:
+        freed = 0
+        while parts[-1] == 1:
+            parts.pop()
+            freed += 1
+        k = parts.pop() - 1
+        q, r = divmod(freed + k + 1, k)
+        parts += [k] * q
+        if r:
+            parts.append(r)
+        found.append(tuple(parts))
+    return found
 
 
 def conjugate(parts: Partition) -> Partition:
     """Transpose of the Ferrers diagram: column j of the result counts
-    the parts of size >= j."""
-    if not parts:
-        return ()
-    return tuple(sum(1 for p in parts if p >= j) for j in range(1, parts[0] + 1))
+    the parts of size >= j.
+
+    Rows are read from the bottom up: row k adds one column of height k
+    for each cell by which it is longer than row k+1.
+    """
+    columns: list[int] = []
+    for k in range(len(parts), 0, -1):
+        columns += [k] * (parts[k - 1] - len(columns))
+    return tuple(columns)
 
 
 def is_self_conjugate(parts: Partition) -> bool:
@@ -92,41 +104,59 @@ def corners(parts: Partition) -> list[Corner]:
     return found
 
 
-def transfer_moves(parts: Partition) -> list[tuple[int, int]]:
-    """Distinct (donor size, receiver size) pairs of unit transfers.
+def _positional_moves(parts: Partition) -> list[tuple[int, int, int, int]]:
+    """Distinct unit transfers as (donor size, receiver size, donor
+    index, receiver index).
 
-    Receiver 0 is a newly adjoined part. The outcome of a transfer
-    depends only on the two sizes, so each pair is one neighbour. A
-    transfer from size v onto size v-1 reproduces the input and is
-    skipped; v onto v needs two parts of size v.
+    Receiver size 0 is a newly adjoined part, at index len(parts). The
+    outcome of a transfer depends only on the two sizes, so each pair is
+    one neighbour. A transfer from size v onto size v-1 reproduces the
+    input and is skipped; v onto v needs two parts of size v. The donor
+    is the last part of its size and the receiver the first of its, so
+    decrementing the one and incrementing the other keeps the parts
+    nonincreasing.
     """
     validate_partition(parts)
-    mult = Counter(parts)
-    values = sorted(mult)
+    ell = len(parts)
+    runs = []  # (size, first index, last index), largest size first
+    first = 0
+    for i in range(1, ell + 1):
+        if i == ell or parts[i] != parts[first]:
+            runs.append((parts[first], first, i - 1))
+            first = i
+    receivers = runs + [(0, ell, ell)]
     return [
-        (v, w)
-        for v in values
-        for w in values + [0]
-        if w != v - 1 and (w != v or mult[v] >= 2)
+        (v, w, last, j)
+        for v, _, last in runs
+        for w, j, w_last in receivers
+        if w != v - 1 and (w != v or j != w_last)
     ]
+
+
+def transfer_moves(parts: Partition) -> list[tuple[int, int]]:
+    """Distinct (donor size, receiver size) pairs of unit transfers;
+    receiver 0 is a newly adjoined part."""
+    return [(v, w) for v, w, _, _ in _positional_moves(parts)]
 
 
 def transfer_neighbors(parts: Partition) -> set[Partition]:
     """Partitions reachable by moving one unit between two distinct parts.
 
-    One part shrinks by 1 (vanishing if it was 1), a different part or a
-    newly adjoined zero part grows by 1, and the result is resorted.
+    One part shrinks by 1 (vanishing if it was 1) and a different part or
+    a newly adjoined zero part grows by 1. Each neighbour is one copy of
+    the parts with two entries edited in place; no resorting is needed.
     """
     out: set[Partition] = set()
-    for v, w in transfer_moves(parts):
-        moved = list(parts)
-        moved.remove(v)
+    for v, w, i, j in _positional_moves(parts):
         if w:
-            moved.remove(w)
+            moved = list(parts)
+            moved[j] = w + 1
+        else:
+            moved = [*parts, 1]
         if v > 1:
-            moved.append(v - 1)
-        moved.append(w + 1)
-        moved.sort(reverse=True)
+            moved[i] = v - 1
+        else:
+            moved.pop()  # a donor of size 1 is the last part
         out.add(tuple(moved))
     return out
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -84,11 +85,16 @@ def _timed_summary(n: int) -> RangeSummary:
 
 
 def compute_summaries(n_min: int, n_max: int, threads: int = 1) -> list[RangeSummary]:
-    """Per-n summaries in ascending n, optionally on a process pool."""
+    """Per-n summaries in ascending n, optionally on a process pool.
+
+    The pool gets the largest (slowest) n first, so the last job to start
+    is a short one.
+    """
     ns = range(n_min, n_max + 1)
     if threads > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(_timed_summary, ns))
+            futures = {n: pool.submit(_timed_summary, n) for n in reversed(ns)}
+            return [futures[n].result() for n in ns]
     return [_timed_summary(n) for n in ns]
 
 
@@ -140,13 +146,31 @@ def render_shells(summaries: list[RangeSummary]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _sha256(path: Path) -> str:
-    return "sha256:" + hashlib.sha256(path.read_bytes()).hexdigest()
+def _sha256(data: bytes) -> str:
+    return "sha256:" + hashlib.sha256(data).hexdigest()
+
+
+def _write_atomic(path: Path, data: bytes) -> None:
+    """Write data to path through a temporary file in the same directory,
+    so the path holds either its old bytes or all of the new ones."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def run_range(n_min: int, n_max: int, out_dir: Path, threads: int = 1) -> list[Path]:
     """Emit basic_axial.csv, extremal_location.csv, shells.csv and
-    manifest.json under out_dir; returns the written paths."""
+    manifest.json under out_dir; returns the written paths.
+
+    Each file replaces its predecessor atomically and the manifest comes
+    last, so a killed run never leaves a half-written file. A kill
+    between two replacements can leave new CSVs beside the old manifest;
+    its checksums then show which files are not the ones it lists.
+    """
     if n_min < 1 or n_min > n_max:
         raise ValueError(f"invalid range {n_min}..{n_max}")
     out_dir = Path(out_dir)
@@ -154,15 +178,12 @@ def run_range(n_min: int, n_max: int, out_dir: Path, threads: int = 1) -> list[P
     summaries = compute_summaries(n_min, n_max, threads=threads)
 
     contents = {
-        "basic_axial.csv": render_basic_axial(summaries),
-        "extremal_location.csv": render_extremal_location(summaries),
-        "shells.csv": render_shells(summaries),
+        "basic_axial.csv": render_basic_axial(summaries).encode(),
+        "extremal_location.csv": render_extremal_location(summaries).encode(),
+        "shells.csv": render_shells(summaries).encode(),
     }
-    written = []
-    for name, text in contents.items():
-        path = out_dir / name
-        path.write_text(text, newline="\n")
-        written.append(path)
+    for name, data in contents.items():
+        _write_atomic(out_dir / name, data)
 
     manifest = {
         "n_min": n_min,
@@ -170,9 +191,8 @@ def run_range(n_min: int, n_max: int, out_dir: Path, threads: int = 1) -> list[P
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "version": __version__,
         "per_n_seconds": {str(s.n): round(s.seconds, 6) for s in summaries},
-        "files": {p.name: _sha256(p) for p in written},
+        "files": {name: _sha256(data) for name, data in contents.items()},
     }
     manifest_path = out_dir / "manifest.json"
-    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", newline="\n")
-    written.append(manifest_path)
-    return written
+    _write_atomic(manifest_path, (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode())
+    return [out_dir / name for name in contents] + [manifest_path]

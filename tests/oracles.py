@@ -1,10 +1,11 @@
 """Independent brute-force implementations used to validate the library.
 
-These deliberately avoid the library's own algorithms: conjugation is
-done by transposing an explicit cell set, transfers by trying every
-(donor index, receiver index) pair, corners by checking that the cell
-set stays downward-closed, and the local clique number by a pivoted
-branch search over the adjacency lists.
+These deliberately avoid the library's own algorithms: partitions are
+grown one cell at a time and sorted, conjugation is done by transposing
+an explicit cell set, transfers by trying every (donor index, receiver
+index) pair, corners by checking that the cell set stays
+downward-closed, and the local clique number by a pivoted branch search
+over the adjacency lists.
 """
 
 from __future__ import annotations
@@ -40,6 +41,38 @@ def naive_transfer_neighbors(parts):
                 assert sum(cand) == n
                 out.add(cand)
     return out
+
+
+def _grow(parts):
+    """Every nonincreasing tuple that adds one unit to a part of ``parts``
+    or adjoins a new part 1."""
+    grown = set()
+    for i in range(len(parts) + 1):
+        cand = list(parts) + [0]
+        cand[i] += 1
+        grown.add(tuple(sorted((x for x in cand if x > 0), reverse=True)))
+    return grown
+
+
+def partitions_by_growth(n):
+    """All partitions of n in reverse-lexicographic order, grown one unit
+    at a time from the empty partition."""
+    level = {()}
+    for _ in range(n):
+        level = {q for parts in level for q in _grow(parts)}
+    return sorted(level, reverse=True)
+
+
+def graph_by_brute_force(n):
+    """(vertices, adjacency, conj) of the transfer graph on partitions of n,
+    built from the oracles above only."""
+    vertices = tuple(partitions_by_growth(n))
+    index = {p: i for i, p in enumerate(vertices)}
+    adjacency = tuple(
+        tuple(sorted(index[m] for m in naive_transfer_neighbors(p))) for p in vertices
+    )
+    conj = tuple(index[conjugate_by_transposition(p)] for p in vertices)
+    return vertices, adjacency, conj
 
 
 def is_downward_closed(cell_set):

@@ -2,6 +2,8 @@ import pytest
 
 from partition_axis import UNREACHABLE, bfs_distances, build_graph
 
+from oracles import graph_by_brute_force
+
 
 def test_rejects_invalid_n():
     with pytest.raises(ValueError):
@@ -21,6 +23,12 @@ def test_n2_conjugate_pair():
     assert g.num_edges == 1
     assert g.conj == (1, 0)
     assert g.adjacency == ((1,), (0,))
+
+
+@pytest.mark.parametrize("n", range(1, 19))
+def test_equals_brute_force_graph(n):
+    g = build_graph(n)
+    assert (g.vertices, g.adjacency, g.conj) == graph_by_brute_force(n)
 
 
 def test_vertices_in_enumeration_order_with_index():

@@ -40,7 +40,7 @@ class TestEnumeration:
     def test_n30_count(self):
         assert len(enumerate_partitions(30)) == 5604
 
-    @pytest.mark.parametrize("n", range(1, 26))
+    @pytest.mark.parametrize("n", range(1, 41))
     def test_count_matches_recurrence(self, n):
         assert len(enumerate_partitions(n)) == pentagonal_partition_count(n)
 
@@ -71,6 +71,9 @@ class TestConjugate:
             ((2, 2), (2, 2)),
             ((4, 3, 1), (3, 2, 2, 1)),
             ((1,), (1,)),
+            ((), ()),
+            ((5,), (1, 1, 1, 1, 1)),
+            ((1, 1, 1), (3,)),
         ],
     )
     def test_known_values(self, parts, expected):

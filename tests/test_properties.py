@@ -55,6 +55,11 @@ def test_transfers_land_on_valid_partitions(parts):
 
 
 @given(partitions())
+def test_transfers_match_naive_index_enumeration(parts):
+    assert transfer_neighbors(parts) == naive_transfer_neighbors(parts)
+
+
+@given(partitions())
 def test_each_move_gives_a_distinct_neighbor(parts):
     # local_clique_number counts moves, so it relies on this bijection
     count = len(naive_transfer_neighbors(parts))

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -122,6 +123,29 @@ class TestRunRange:
         for name, digest in manifest["files"].items():
             actual = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
             assert digest == f"sha256:{actual}"
+
+    def test_rerun_replaces_files_and_leaves_no_temporaries(self, tmp_path):
+        run_range(1, 7, tmp_path)
+        (tmp_path / "shells.csv").write_text("stale\n")
+        written = run_range(1, 5, tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(p.name for p in written)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["n_max"] == 5
+        for name, digest in manifest["files"].items():
+            actual = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            assert digest == f"sha256:{actual}"
+
+    def test_failed_replace_keeps_old_file_and_no_temporary(self, tmp_path, monkeypatch):
+        run_range(1, 6, tmp_path)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+        def refuse(src, dst):
+            raise OSError("replace refused")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError, match="replace refused"):
+            run_range(1, 4, tmp_path)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
     def test_rejects_invalid_range(self, tmp_path):
         with pytest.raises(ValueError):
