@@ -8,7 +8,6 @@ paths it validates, and reports the first counterexample on failure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable
 
 from .axial import central_region, thick_spine
@@ -49,28 +48,27 @@ class CheckResult:
         return f"n={self.n} {self.name}: {self.status}{suffix}"
 
 
-@lru_cache(maxsize=None)
 def pentagonal_partition_count(n: int) -> int:
-    """p(n) by the pentagonal-number recurrence; independent of the
-    recursive enumeration used to build graphs."""
+    """p(n) by Euler's pentagonal-number recurrence, filled bottom-up;
+    independent of the enumeration used to build graphs."""
     if n < 0:
         return 0
-    if n == 0:
-        return 1
-    total = 0
-    k = 1
-    while True:
-        g1 = k * (3 * k - 1) // 2
-        g2 = k * (3 * k + 1) // 2
-        if g1 > n and g2 > n:
-            break
-        sign = 1 if k % 2 == 1 else -1
-        if g1 <= n:
-            total += sign * pentagonal_partition_count(n - g1)
-        if g2 <= n:
-            total += sign * pentagonal_partition_count(n - g2)
-        k += 1
-    return total
+    table = [1]
+    for m in range(1, n + 1):
+        total = 0
+        k = 1
+        while True:
+            g1 = k * (3 * k - 1) // 2
+            if g1 > m:
+                break
+            g2 = g1 + k
+            sign = 1 if k % 2 == 1 else -1
+            total += sign * table[m - g1]
+            if g2 <= m:
+                total += sign * table[m - g2]
+            k += 1
+        table.append(total)
+    return table[n]
 
 
 Outcome = tuple[bool, str]

@@ -13,7 +13,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
 
-from .partitions import Partition, conjugate, enumerate_partitions, transfer_neighbors
+from .partitions import Partition, conjugate, enumerate_partitions
 
 UNREACHABLE = -1
 
@@ -37,18 +37,68 @@ class PartitionGraph:
 def build_graph(n: int) -> PartitionGraph:
     """Materialize the transfer graph for all partitions of n.
 
-    Adjacency lists are sorted ascending; parallel transfers to the same
-    target collapse to one edge and self-images are excluded, so the
-    graph is simple. The conjugation permutation is found by locating
-    each vertex's conjugate in the enumeration index.
+    Adjacency lists are sorted ascending and the graph is simple. Edges
+    come from covers in Young's lattice (nu + e_j adds one cell in row
+    j), not from per-vertex transfers:
+
+    lambda != mu are adjacent exactly when both cover the same nu |- n-1.
+    A transfer can take its unit from the last part of the donor size
+    (index i) and give it to the first part of the receiver size, or to
+    a new part (index j). Then nu = lambda - e_i is a partition, j is
+    still the first index of its run in nu (a receiver one smaller than
+    the donor would give back lambda), and mu = nu + e_j. Conversely,
+    two covers nu + e_a != nu + e_b differ by moving a unit from part a
+    to part b. In both directions nu is the componentwise minimum of the
+    zero-padded pair, so each edge lies in exactly one nu's clique: G_n
+    is the edge-disjoint union, over nu |- n-1, of the complete graphs
+    on nu's k + 1 upper covers (a cell added at the first index of each
+    of its k runs, or a new part 1).
+
+    Each nu is visited once, as ``lam[:-1]`` for the vertex ``lam`` that
+    ends in 1; ``lam`` is nu's new-part cover, and the others are looked
+    up in the index. nu -> nu + (1,) keeps lexicographic order, so the
+    nu are visited in reverse-lexicographic order. The lower covers of a
+    vertex c remove a cell at the last index of a run of c; the smallest,
+    hence visited last, is the one that lowers c's largest part. So c's
+    row is complete, and is sorted and frozen, once nu = c - e_j is
+    visited with c[j] == c[0]. Only the rows still open are held. The
+    conjugation permutation is found by locating each vertex's conjugate
+    in the index.
     """
     vertices = tuple(enumerate_partitions(n))
     index = {p: i for i, p in enumerate(vertices)}
-    adjacency = tuple(
-        tuple(sorted(index[m] for m in transfer_neighbors(p))) for p in vertices
-    )
     conj = tuple(index[conjugate(p)] for p in vertices)
-    return PartitionGraph(n=n, vertices=vertices, adjacency=adjacency, conj=conj)
+    adjacency: list[tuple[int, ...]] = [()] * len(vertices)
+    open_rows: dict[int, list[int]] = {}
+    for lam, new_row in index.items():
+        if lam[-1] != 1:
+            continue
+        nu = lam[:-1]
+        top = nu[0] if nu else 0
+        clique = []
+        done = []
+        above = 0
+        for j, v in enumerate(nu):
+            if v != above:
+                u = index[nu[:j] + (v + 1,) + nu[j + 1 :]]
+                clique.append(u)
+                if v + 1 >= top:
+                    done.append(u)
+            above = v
+        clique.append(new_row)
+        if top <= 1:
+            done.append(new_row)
+        for k, u in enumerate(clique):
+            row = open_rows.get(u)
+            if row is None:
+                open_rows[u] = clique[:k] + clique[k + 1 :]
+            else:
+                row += clique[:k]
+                row += clique[k + 1 :]
+        for u in done:
+            adjacency[u] = tuple(sorted(open_rows.pop(u)))
+    del index
+    return PartitionGraph(n=n, vertices=vertices, adjacency=tuple(adjacency), conj=conj)
 
 
 def bfs_distances(g: PartitionGraph, sources: Iterable[int]) -> list[int]:

@@ -1,8 +1,8 @@
 import pytest
 
-from partition_axis import UNREACHABLE, bfs_distances, build_graph
+from partition_axis import UNREACHABLE, bfs_distances, build_graph, transfer_neighbors
 
-from oracles import graph_by_brute_force
+from oracles import graph_by_brute_force, naive_transfer_neighbors, partitions_by_growth
 
 
 def test_rejects_invalid_n():
@@ -29,6 +29,29 @@ def test_n2_conjugate_pair():
 def test_equals_brute_force_graph(n):
     g = build_graph(n)
     assert (g.vertices, g.adjacency, g.conj) == graph_by_brute_force(n)
+
+
+@pytest.mark.parametrize("n", range(19, 31))
+def test_rows_equal_per_vertex_transfers(n):
+    g = build_graph(n)
+    index = {p: i for i, p in enumerate(g.vertices)}
+    for p, row in zip(g.vertices, g.adjacency):
+        assert row == tuple(sorted(index[m] for m in transfer_neighbors(p)))
+
+
+@pytest.mark.parametrize("n", range(1, 15))
+def test_adjacent_iff_componentwise_minimum_has_size_n_minus_1(n):
+    # The lemma build_graph rests on: lambda ~ mu exactly when both cover
+    # the same partition of n-1, which is then their componentwise minimum.
+    vertices = partitions_by_growth(n)
+    for lam in vertices:
+        neighbors = naive_transfer_neighbors(lam)
+        for mu in vertices:
+            if mu == lam:
+                continue
+            width = max(len(lam), len(mu))
+            padded = zip(lam + (0,) * (width - len(lam)), mu + (0,) * (width - len(mu)))
+            assert (mu in neighbors) == (sum(map(min, padded)) == n - 1), (lam, mu)
 
 
 def test_vertices_in_enumeration_order_with_index():

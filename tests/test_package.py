@@ -18,3 +18,20 @@ def test_no_assert_statements_in_source():
         tree = ast.parse(path.read_text(), filename=str(path))
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_no_function_calls_itself_in_source():
+    # Recursion depth grows with n, so a deep enough n raises RecursionError.
+    found = []
+    for path in sorted(SOURCE_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef):
+                found += [
+                    f"{path.name}:{node.lineno} {fn.name}"
+                    for node in ast.walk(fn)
+                    if isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)
+                    and node.func.id == fn.name
+                ]
+    assert found == []

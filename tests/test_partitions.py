@@ -44,6 +44,10 @@ class TestEnumeration:
     def test_count_matches_recurrence(self, n):
         assert len(enumerate_partitions(n)) == pentagonal_partition_count(n)
 
+    def test_recurrence_has_no_depth_limit(self):
+        # Deeper than the default recursion limit allows a recursive form.
+        assert pentagonal_partition_count(1000) == 24061467864032622473692149727991
+
     def test_all_valid_and_unique(self):
         for n in range(1, 15):
             seen = enumerate_partitions(n)
