@@ -27,19 +27,19 @@ class AxialGeometry:
     """Axis-derived structure of one partition graph.
 
     For axisless n the axis is genuinely empty, but distances, spine and
-    shells have no defined value; those fields are None rather than
-    empty defaults so downstream consumers must handle the case
+    shells have no defined value; those fields default to None rather
+    than to empty values so downstream consumers must handle the case
     explicitly.
     """
 
     n: int
     axis: frozenset[int]
     mediators: dict[AxialPair, frozenset[int]]
-    spine: frozenset[int] | None
-    ax_dist: tuple[int, ...] | None
-    sp_dist: tuple[int, ...] | None
-    ax_shells: tuple[int, ...] | None
-    sp_shells: tuple[int, ...] | None
+    spine: frozenset[int] | None = None
+    ax_dist: tuple[int, ...] | None = None
+    sp_dist: tuple[int, ...] | None = None
+    ax_shells: tuple[int, ...] | None = None
+    sp_shells: tuple[int, ...] | None = None
 
     @property
     def is_axial(self) -> bool:
@@ -77,10 +77,7 @@ def compute_spine(
     axis: frozenset[int], mediators: dict[AxialPair, frozenset[int]]
 ) -> frozenset[int]:
     """Axis plus every mediator of an interacting axial pair."""
-    spine = set(axis)
-    for common in mediators.values():
-        spine |= common
-    return frozenset(spine)
+    return axis.union(*mediators.values())
 
 
 def _shell_histogram(dist: tuple[int, ...]) -> tuple[int, ...]:
@@ -96,16 +93,7 @@ def axial_geometry(g: PartitionGraph) -> AxialGeometry:
     """Compute the full axial structure of g in one pass."""
     axis = compute_axis(g)
     if not axis:
-        return AxialGeometry(
-            n=g.n,
-            axis=axis,
-            mediators={},
-            spine=None,
-            ax_dist=None,
-            sp_dist=None,
-            ax_shells=None,
-            sp_shells=None,
-        )
+        return AxialGeometry(n=g.n, axis=axis, mediators={})
     mediators = interaction_graph(g, axis)
     spine = compute_spine(axis, mediators)
     ax_dist = tuple(bfs_distances(g, axis))

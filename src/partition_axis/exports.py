@@ -51,8 +51,6 @@ def _vertex_attributes(analysis: GraphAnalysis) -> list[dict[str, object]]:
     classes = vertex_classes(analysis)
     deg = analysis.profiles[DEG].values
     omega = analysis.profiles[OMEGA_LOC].values
-    ax_dist = geom.ax_dist if geom.is_axial else None
-    sp_dist = geom.sp_dist if geom.is_axial else None
     rows = []
     for v, parts in enumerate(analysis.graph.vertices):
         rows.append(
@@ -61,8 +59,8 @@ def _vertex_attributes(analysis: GraphAnalysis) -> list[dict[str, object]]:
                 "class": classes[v],
                 "deg": deg[v],
                 "omega_loc": omega[v],
-                "ax_dist": ax_dist[v] if ax_dist is not None else UNREACHABLE,
-                "sp_dist": sp_dist[v] if sp_dist is not None else UNREACHABLE,
+                "ax_dist": geom.ax_dist[v] if geom.is_axial else UNREACHABLE,
+                "sp_dist": geom.sp_dist[v] if geom.is_axial else UNREACHABLE,
             }
         )
     return rows

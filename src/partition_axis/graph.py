@@ -106,6 +106,14 @@ def bfs_distances(g: PartitionGraph, sources: Iterable[int]) -> list[int]:
 
     Vertices not reachable from any source (in particular every vertex
     when ``sources`` is empty) get the UNREACHABLE sentinel, never 0.
+
+    Distance is half the L1 distance of zero-padded part vectors. A
+    transfer moves two coordinates by one, so no path is shorter. For
+    lambda != mu, some i has lambda_i > mu_i and some j lambda_j < mu_j;
+    as mu is nonincreasing, so do the last index of lambda's run through
+    i and the first of its run through j. A unit moved from the one to
+    the other is a transfer, keeps lambda sorted and lowers the L1
+    distance by 2. Hence d((n), lambda) = n - lambda_1.
     """
     dist = [UNREACHABLE] * g.num_vertices
     queue: deque[int] = deque()

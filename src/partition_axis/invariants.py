@@ -8,13 +8,11 @@ maximizer set and the smallest axial / spinal radii enclosing it.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, replace
 from itertools import combinations
 
 from .axial import AxialGeometry
 from .graph import UNREACHABLE, PartitionGraph
-from .partitions import transfer_moves
 
 DEG = "deg"
 OMEGA_LOC = "omega_loc"
@@ -39,23 +37,34 @@ class InvariantProfile:
 
 
 def local_clique_number(g: PartitionGraph, v: int) -> int:
-    """1 + the clique number of the subgraph induced on N(v).
+    """1 + the clique number of the subgraph induced on N(v), from the
+    distinct parts of lambda = g.vertices[v].
 
     A unit transfer is fixed by its (donor size, receiver size) pair,
-    receiver 0 meaning a new part. As sorted part vectors, a neighbour of
-    lambda = g.vertices[v] is lambda - e_r + e_s, so two neighbours differ
-    in two places, and are adjacent, exactly when they share the donor or
-    the receiver; otherwise they differ in four. N(v) is therefore an
-    induced subgraph of a rook's graph, and its largest clique is the
-    largest set of transfers sharing a donor or sharing a receiver.
-    Isolated vertices score 1 (the vertex alone is its largest clique).
+    receiver 0 meaning a new part. Two neighbours lambda - e_r + e_s are
+    adjacent exactly when they share the donor or the receiver (else they
+    differ in four places), so N(v) is an induced subgraph of a rook's
+    graph. In Young's lattice (see build_graph) a donor clique with
+    lambda is the set of k(nu) + 1 upper covers of nu = lambda minus one
+    cell, and a receiver clique with lambda the k(mu) lower covers of
+    mu = lambda plus one cell; k counts distinct parts.
+
+    With S the part sizes and m_v the multiplicity of v, donor v in S has
+    r(v) = k + 1 - [v-1 in S+{0}] - [m_v = 1] receivers (v-1 gives lambda
+    back, v needs a second part v); receiver w in S+{0} has
+    d(w) = k - [w+1 in S] - [w in S, m_w = 1] donors. As d(0) <= r(min S)
+    and r(w) - d(w) = 1 - [w-1 in S+{0}] + [w+1 in S] >= 0,
+    omega_loc = 1 + max r: k + 2 less the fewest receivers a donor lacks.
+    Each run is read at its last index, where the part above equals it
+    iff m_v > 1; (1,) scores 1.
     """
-    moves = transfer_moves(g.vertices[v])
-    if not moves:
-        return 1
-    donors = Counter(d for d, _ in moves)
-    receivers = Counter(r for _, r in moves)
-    return 1 + max(*donors.values(), *receivers.values())
+    parts = g.vertices[v]
+    lost = [
+        (below == size - 1) + (above != size)
+        for above, size, below in zip((0, *parts), parts, (*parts[1:], 0))
+        if size != below
+    ]
+    return len(lost) + 2 - min(lost)
 
 
 def local_clique_number_oracle(g: PartitionGraph, v: int) -> int:

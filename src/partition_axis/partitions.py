@@ -133,12 +133,6 @@ def _positional_moves(parts: Partition) -> list[tuple[int, int, int, int]]:
     ]
 
 
-def transfer_moves(parts: Partition) -> list[tuple[int, int]]:
-    """Distinct (donor size, receiver size) pairs of unit transfers;
-    receiver 0 is a newly adjoined part."""
-    return [(v, w) for v, w, _, _ in _positional_moves(parts)]
-
-
 def transfer_neighbors(parts: Partition) -> set[Partition]:
     """Partitions reachable by moving one unit between two distinct parts.
 

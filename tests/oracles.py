@@ -4,11 +4,15 @@ These deliberately avoid the library's own algorithms: partitions are
 grown one cell at a time and sorted, conjugation is done by transposing
 an explicit cell set, transfers by trying every (donor index, receiver
 index) pair, corners by checking that the cell set stays
-downward-closed, and the local clique number by a pivoted branch search
-over the adjacency lists.
+downward-closed, the local clique number by a pivoted branch search
+over the adjacency lists or by counting transfers per donor and
+receiver, and graph distance as half the L1 distance of part vectors.
 """
 
 from __future__ import annotations
+
+from collections import Counter
+from itertools import zip_longest
 
 
 def cells(parts):
@@ -128,3 +132,37 @@ def local_clique_number_by_search(g, v):
     members = set(neighborhood)
     induced = {u: set(g.adjacency[u]) & members for u in neighborhood}
     return 1 + _max_clique_size(members, induced)
+
+
+def transfer_moves(parts):
+    """Distinct (donor size, receiver size) pairs of unit transfers, over
+    every (donor index, receiver index) pair; receiver 0 is a newly
+    adjoined part. A donor of size a onto a receiver of size a - 1 only
+    swaps the two sizes, giving ``parts`` back, and is skipped."""
+    padded = list(parts) + [0]
+    return {
+        (a, b)
+        for i, a in enumerate(parts)
+        for j, b in enumerate(padded)
+        if i != j and b != a - 1
+    }
+
+
+def local_clique_number_by_moves(g, v):
+    """1 + the most transfers of vertex v sharing a donor size or sharing
+    a receiver size: the rook's-graph reading, counted move by move."""
+    moves = transfer_moves(g.vertices[v])
+    if not moves:
+        return 1
+    donors = Counter(a for a, _ in moves)
+    receivers = Counter(b for _, b in moves)
+    return 1 + max(*donors.values(), *receivers.values())
+
+
+def l1_distance_to_set(parts, targets):
+    """Graph distance from ``parts`` to the nearest of ``targets``, as half
+    the L1 distance between zero-padded part vectors."""
+    return min(
+        sum(abs(x - y) for x, y in zip_longest(parts, other, fillvalue=0)) // 2
+        for other in targets
+    )

@@ -11,6 +11,8 @@ from partition_axis import (
     thick_spine,
 )
 
+from oracles import l1_distance_to_set
+
 
 def names(analysis, ids):
     return sorted(analysis.graph.vertices[v] for v in ids)
@@ -205,3 +207,17 @@ def test_interaction_graph_matches_direct_recomputation():
                 assert pairs[(alpha, beta)] == frozenset(common)
             else:
                 assert (alpha, beta) not in pairs
+
+
+@pytest.mark.parametrize("n", range(1, 23))
+def test_distances_are_half_l1_to_axis_and_spine(n):
+    a = analyze(n)
+    geo = a.geometry
+    if not geo.is_axial:
+        return
+    vertices = a.graph.vertices
+    axis = [vertices[v] for v in geo.axis]
+    spine = [vertices[v] for v in geo.spine]
+    for v, parts in enumerate(vertices):
+        assert geo.ax_dist[v] == l1_distance_to_set(parts, axis), (n, parts)
+        assert geo.sp_dist[v] == l1_distance_to_set(parts, spine), (n, parts)

@@ -121,6 +121,13 @@ class TestBfs:
             for v in row:
                 assert abs(dist[u] - dist[v]) <= 1
 
+    @pytest.mark.parametrize("n", range(1, 23))
+    def test_distance_from_single_part_is_n_minus_largest_part(self, n):
+        # (n,) is vertex 0; half the L1 distance to it is n - parts[0]
+        g = build_graph(n)
+        dist = bfs_distances(g, [0])
+        assert dist == [n - parts[0] for parts in g.vertices]
+
     def test_conj_invariant_for_conj_invariant_sources(self):
         for n in range(3, 13):
             g = build_graph(n)

@@ -1,10 +1,13 @@
+import csv
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from partition_axis import (
     OracleInfeasibleError,
     analyze,
+    build_graph,
     local_clique_number,
     local_clique_number_oracle,
 )
@@ -12,7 +15,26 @@ from partition_axis.checks import _check_argmax_symmetry, _check_dim_shift
 from partition_axis.graph import UNREACHABLE
 from partition_axis.invariants import DEG, DIM_LOC, INVARIANTS, OMEGA_LOC, _enclosing_radius
 
-from oracles import local_clique_number_by_search
+from oracles import local_clique_number_by_moves, local_clique_number_by_search
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def staircase(n):
+    """1 + max{k : T_k < n}, T_k = k(k+1)/2: the largest omega_loc over the
+    partitions of n.
+
+    The donor cliques of local_clique_number are the upper-cover sets of
+    the nu |- n-1, so they peak at 1 + K(n-1), where K(m) = max{k : T_k <= m}
+    is the most distinct parts a partition of m has (k of them take T_k
+    cells; (k + m - T_k, k-1, ..., 1) has k). A receiver clique of size
+    k(mu) >= k needs mu |- n+1 >= T_k, and then n - 1 >= T_k - 2 >= T_(k-1)
+    for k >= 2, so the donor half reaches k too.
+    """
+    k = 0
+    while (k + 1) * (k + 2) // 2 < n:
+        k += 1
+    return 1 + k
 
 
 class TestLocalCliqueNumber:
@@ -54,6 +76,12 @@ class TestOracle:
             for v in range(g.num_vertices):
                 assert local_clique_number(g, v) == local_clique_number_by_search(g, v), (n, v)
 
+    @pytest.mark.parametrize("n", range(31, 35))
+    def test_agrees_with_move_count_past_n30(self, n):
+        g = build_graph(n)
+        for v in range(g.num_vertices):
+            assert local_clique_number(g, v) == local_clique_number_by_moves(g, v), (n, v)
+
     def test_isolated(self):
         assert local_clique_number_oracle(analyze(1).graph, 0) == 1
 
@@ -76,6 +104,17 @@ class TestProfile:
     def test_n28_omega(self):
         p = analyze(28).profiles[OMEGA_LOC]
         assert (p.max_value, len(p.argmax), p.rho_ax, p.rho_sp) == (7, 287, 4, 4)
+
+    def test_max_omega_is_the_triangular_staircase(self):
+        with open(GOLDEN / "extremal_location.csv", newline="") as f:
+            golden = {
+                int(row["n"]): int(row["max"])
+                for row in csv.DictReader(f)
+                if row["invariant"] == OMEGA_LOC
+            }
+        assert sorted(golden) == list(range(1, 31))
+        for n in range(1, 31):
+            assert analyze(n).profiles[OMEGA_LOC].max_value == staircase(n) == golden[n], n
 
     def test_axisless_radii_undefined(self):
         p = analyze(2).profiles[DEG]

@@ -2,13 +2,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from partition_axis import conjugate, corners, is_self_conjugate, transfer_neighbors
-from partition_axis.partitions import ADDABLE, REMOVABLE, transfer_moves, validate_partition
+from partition_axis.partitions import ADDABLE, REMOVABLE, validate_partition
 
 from oracles import (
     addable_cells,
     conjugate_by_transposition,
     naive_transfer_neighbors,
     removable_cells,
+    transfer_moves,
 )
 
 
@@ -61,7 +62,7 @@ def test_transfers_match_naive_index_enumeration(parts):
 
 @given(partitions())
 def test_each_move_gives_a_distinct_neighbor(parts):
-    # local_clique_number counts moves, so it relies on this bijection
+    # local_clique_number_by_moves counts moves, so it relies on this bijection
     count = len(naive_transfer_neighbors(parts))
     assert len(transfer_moves(parts)) == len(transfer_neighbors(parts)) == count
 
