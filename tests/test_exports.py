@@ -1,9 +1,9 @@
+import os
 import xml.etree.ElementTree as ET
 from collections import Counter
 
 import pytest
 
-from partition_axis import analyze
 from partition_axis.exports import (
     CLASS_AXIS,
     CLASS_CENTRAL_OFF_SPINE,
@@ -14,6 +14,8 @@ from partition_axis.exports import (
     render_graphml,
     vertex_classes,
 )
+
+from memo import analyze
 
 GRAPHML_NS = "{http://graphml.graphdrawing.org/xmlns}"
 
@@ -116,3 +118,15 @@ class TestExportGraph:
     def test_rejects_unknown_format(self, tmp_path):
         with pytest.raises(ValueError):
             export_graph(5, "gexf", tmp_path / "g.gexf")
+
+    def test_failed_replace_keeps_old_file_and_no_temporary(self, tmp_path, monkeypatch):
+        path = export_graph(5, "dot", tmp_path / "g.dot")
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+        def refuse(src, dst):
+            raise OSError("replace refused")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError, match="replace refused"):
+            export_graph(6, "dot", path)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before

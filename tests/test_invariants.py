@@ -6,7 +6,6 @@ import pytest
 
 from partition_axis import (
     OracleInfeasibleError,
-    analyze,
     build_graph,
     local_clique_number,
     local_clique_number_oracle,
@@ -15,6 +14,7 @@ from partition_axis.checks import _check_argmax_symmetry, _check_dim_shift
 from partition_axis.graph import UNREACHABLE
 from partition_axis.invariants import DEG, DIM_LOC, INVARIANTS, OMEGA_LOC, _enclosing_radius
 
+from memo import analyze
 from oracles import local_clique_number_by_moves, local_clique_number_by_search
 
 GOLDEN = Path(__file__).parent / "golden"

@@ -1,0 +1,38 @@
+import gc
+import weakref
+
+import pytest
+
+from partition_axis import checks, exports, pipeline, report
+from partition_axis.checks import verify_range
+from partition_axis.exports import export_graph
+from partition_axis.report import run_range
+
+RANGE = (1, 12)
+
+
+def _export_range(out_dir):
+    for n in range(RANGE[0], RANGE[1] + 1):
+        export_graph(n, "dot", out_dir / f"graph_{n}.dot")
+
+
+@pytest.mark.parametrize("run", [
+    lambda out_dir: run_range(*RANGE, out_dir),
+    lambda out_dir: verify_range(*RANGE),
+    _export_range,
+], ids=["report", "verify", "export"])
+def test_range_runs_keep_no_analysis_alive(run, tmp_path, monkeypatch):
+    # A range run needs each n's graph only while it works on that n.
+    refs = []
+
+    def recording_analyze(n):
+        analysis = pipeline.analyze(n)
+        refs.append(weakref.ref(analysis))
+        return analysis
+
+    for module in (report, checks, exports):
+        monkeypatch.setattr(module, "analyze", recording_analyze)
+    run(tmp_path)
+    gc.collect()
+    assert len(refs) == RANGE[1] - RANGE[0] + 1
+    assert [ref().n for ref in refs if ref() is not None] == []

@@ -5,7 +5,6 @@ from pathlib import Path
 
 import pytest
 
-from partition_axis import analyze
 from partition_axis.report import (
     BASIC_AXIAL_HEADER,
     EXTREMAL_HEADER,
@@ -20,6 +19,8 @@ from partition_axis.report import (
     run_range,
     summarize,
 )
+
+from memo import analyze
 
 GOLDEN = Path(__file__).parent / "golden"
 
