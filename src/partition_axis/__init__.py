@@ -4,7 +4,6 @@ __version__ = "0.1.0"
 
 from .axial import (
     AxialGeometry,
-    AxislessGraphError,
     axial_geometry,
     central_region,
     compute_axis,
@@ -35,7 +34,6 @@ from .pipeline import GraphAnalysis, analyze
 
 __all__ = [
     "AxialGeometry",
-    "AxislessGraphError",
     "Corner",
     "GraphAnalysis",
     "INVARIANTS",

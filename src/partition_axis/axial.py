@@ -15,10 +15,6 @@ from itertools import combinations
 from .graph import UNREACHABLE, PartitionGraph, bfs_distances
 
 
-class AxislessGraphError(ValueError):
-    """An axial quantity was requested for an n with an empty axis."""
-
-
 AxialPair = tuple[int, int]
 
 
@@ -26,20 +22,18 @@ AxialPair = tuple[int, int]
 class AxialGeometry:
     """Axis-derived structure of one partition graph.
 
-    For axisless n the axis is genuinely empty, but distances, spine and
-    shells have no defined value; those fields default to None rather
-    than to empty values so downstream consumers must handle the case
-    explicitly.
+    For axisless n (only n = 2) the axis, mediators, spine and shells are
+    empty and every distance is UNREACHABLE.
     """
 
     n: int
     axis: frozenset[int]
     mediators: dict[AxialPair, frozenset[int]]
-    spine: frozenset[int] | None = None
-    ax_dist: tuple[int, ...] | None = None
-    sp_dist: tuple[int, ...] | None = None
-    ax_shells: tuple[int, ...] | None = None
-    sp_shells: tuple[int, ...] | None = None
+    spine: frozenset[int]
+    ax_dist: tuple[int, ...]
+    sp_dist: tuple[int, ...]
+    ax_shells: tuple[int, ...]
+    sp_shells: tuple[int, ...]
 
     @property
     def is_axial(self) -> bool:
@@ -92,8 +86,6 @@ def _shell_histogram(dist: tuple[int, ...]) -> tuple[int, ...]:
 def axial_geometry(g: PartitionGraph) -> AxialGeometry:
     """Compute the full axial structure of g in one pass."""
     axis = compute_axis(g)
-    if not axis:
-        return AxialGeometry(n=g.n, axis=axis, mediators={})
     mediators = interaction_graph(g, axis)
     spine = compute_spine(axis, mediators)
     ax_dist = tuple(bfs_distances(g, axis))
@@ -110,9 +102,7 @@ def axial_geometry(g: PartitionGraph) -> AxialGeometry:
     )
 
 
-def _ball(geometry: AxialGeometry, dist: tuple[int, ...] | None, r: int) -> frozenset[int]:
-    if not geometry.is_axial:
-        raise AxislessGraphError(f"n={geometry.n} has no self-conjugate partition")
+def _ball(dist: tuple[int, ...], r: int) -> frozenset[int]:
     if r < 0:
         raise ValueError(f"radius must be nonnegative, got {r}")
     return frozenset(v for v, d in enumerate(dist) if 0 <= d <= r)
@@ -120,9 +110,9 @@ def _ball(geometry: AxialGeometry, dist: tuple[int, ...] | None, r: int) -> froz
 
 def central_region(geometry: AxialGeometry, r: int) -> frozenset[int]:
     """Vertices within distance r of the axis; r=0 gives the axis itself."""
-    return _ball(geometry, geometry.ax_dist, r)
+    return _ball(geometry.ax_dist, r)
 
 
 def thick_spine(geometry: AxialGeometry, r: int) -> frozenset[int]:
     """Vertices within distance r of the spine; r=0 gives the spine itself."""
-    return _ball(geometry, geometry.sp_dist, r)
+    return _ball(geometry.sp_dist, r)

@@ -128,10 +128,7 @@ def _check_diagonal_corner_exclusivity(a: GraphAnalysis) -> Outcome:
 
 def _check_bfs_triangle(a: GraphAnalysis) -> Outcome:
     g = a.graph
-    source_sets = {"v0": [0]}
-    if a.geometry.is_axial:
-        source_sets["axis"] = sorted(a.geometry.axis)
-        source_sets["spine"] = sorted(a.geometry.spine)
+    source_sets = {"v0": [0], "axis": a.geometry.axis, "spine": a.geometry.spine}
     for tag, sources in source_sets.items():
         dist = bfs_distances(g, sources)
         for u, row in enumerate(g.adjacency):

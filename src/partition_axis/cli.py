@@ -45,8 +45,11 @@ def main(argv: list[str] | None = None) -> int:
     if args.n_min < 1 or args.n_min > args.n_max:
         parser.error(f"invalid range {args.n_min}..{args.n_max}")
     out_dir = getattr(args, "out_dir", None)
-    if out_dir is not None and out_dir.exists() and not out_dir.is_dir():
-        parser.error(f"--out-dir {out_dir} exists and is not a directory")
+    if out_dir is not None:
+        # mkdir fails unless the nearest existing ancestor is a directory.
+        nearest = next((p for p in (out_dir, *out_dir.parents) if p.exists()), None)
+        if nearest is not None and not nearest.is_dir():
+            parser.error(f"--out-dir {out_dir}: {nearest} exists and is not a directory")
 
     if args.command == "report":
         max_threads = os.cpu_count() or 1

@@ -7,11 +7,10 @@ number, and its distances to axis and spine (-1 when undefined).
 
 from __future__ import annotations
 
+from html import escape
 from pathlib import Path
-from xml.sax.saxutils import escape, quoteattr
 
 from .axial import central_region
-from .graph import UNREACHABLE
 from .invariants import DEG, OMEGA_LOC
 from .partitions import format_partition
 from .pipeline import GraphAnalysis, analyze
@@ -30,12 +29,9 @@ def vertex_classes(analysis: GraphAnalysis) -> list[str]:
     """Partition of the vertex set: axis, spine off axis, first central
     shell off spine, and everything else. All outer for axisless n."""
     geom = analysis.geometry
-    p = analysis.graph.num_vertices
-    if not geom.is_axial:
-        return [CLASS_OUTER] * p
     narrow = central_region(geom, 1)
     classes = []
-    for v in range(p):
+    for v in range(analysis.graph.num_vertices):
         if v in geom.axis:
             classes.append(CLASS_AXIS)
         elif v in geom.spine:
@@ -60,8 +56,8 @@ def _vertex_attributes(analysis: GraphAnalysis) -> list[dict[str, object]]:
                 "class": classes[v],
                 "deg": deg[v],
                 "omega_loc": omega[v],
-                "ax_dist": geom.ax_dist[v] if geom.is_axial else UNREACHABLE,
-                "sp_dist": geom.sp_dist[v] if geom.is_axial else UNREACHABLE,
+                "ax_dist": geom.ax_dist[v],
+                "sp_dist": geom.sp_dist[v],
             }
         )
     return rows
@@ -113,7 +109,7 @@ def render_graphml(analysis: GraphAnalysis) -> str:
     for key_id, domain, name, typ in _GRAPHML_KEYS:
         lines.append(
             f'  <key id="{key_id}" for="{domain}" '
-            f'attr.name={quoteattr(name)} attr.type="{typ}"/>'
+            f'attr.name="{name}" attr.type="{typ}"/>'
         )
     lines.append(f'  <graph id="g{analysis.n}" edgedefault="undirected">')
     if not analysis.geometry.is_axial:
@@ -121,7 +117,7 @@ def render_graphml(analysis: GraphAnalysis) -> str:
     for v, attrs in enumerate(_vertex_attributes(analysis)):
         lines.append(f'    <node id="v{v}">')
         for name, key_id in _NODE_KEY_IDS.items():
-            lines.append(f'      <data key="{key_id}">{escape(str(attrs[name]))}</data>')
+            lines.append(f'      <data key="{key_id}">{escape(str(attrs[name]), quote=False)}</data>')
         lines.append("    </node>")
     for i, (u, v) in enumerate(_edges(analysis)):
         lines.append(f'    <edge id="e{i}" source="v{u}" target="v{v}"/>')

@@ -105,11 +105,8 @@ def _build_profile(
 ) -> InvariantProfile:
     max_value = max(values)
     argmax = frozenset(v for v, x in enumerate(values) if x == max_value)
-    if geometry.is_axial:
-        rho_ax = _enclosing_radius(argmax, geometry.ax_dist)
-        rho_sp = _enclosing_radius(argmax, geometry.sp_dist)
-    else:
-        rho_ax = rho_sp = None
+    rho_ax = _enclosing_radius(argmax, geometry.ax_dist)
+    rho_sp = _enclosing_radius(argmax, geometry.sp_dist)
     return InvariantProfile(invariant_id, values, max_value, argmax, rho_ax, rho_sp)
 
 
@@ -118,7 +115,7 @@ def all_profiles(
 ) -> dict[str, InvariantProfile]:
     """Values, maximizer set and concentration radii for each invariant.
 
-    Radii are None for axisless n; values and argmax are still produced.
+    A radius is None when a maximizer is unreachable, as for axisless n.
     The clique values are computed once; dim_loc is omega_loc shifted
     down by one, so it shares omega_loc's argmax and radii.
     """

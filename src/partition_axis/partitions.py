@@ -104,54 +104,45 @@ def corners(parts: Partition) -> list[Corner]:
     return found
 
 
-def _positional_moves(parts: Partition) -> list[tuple[int, int, int, int]]:
-    """Distinct unit transfers as (donor size, receiver size, donor
-    index, receiver index).
-
-    Receiver size 0 is a newly adjoined part, at index len(parts). The
-    outcome of a transfer depends only on the two sizes, so each pair is
-    one neighbour. A transfer from size v onto size v-1 reproduces the
-    input and is skipped; v onto v needs two parts of size v. The donor
-    is the last part of its size and the receiver the first of its, so
-    decrementing the one and incrementing the other keeps the parts
-    nonincreasing.
-    """
-    validate_partition(parts)
-    ell = len(parts)
-    runs = []  # (size, first index, last index), largest size first
-    first = 0
-    for i in range(1, ell + 1):
-        if i == ell or parts[i] != parts[first]:
-            runs.append((parts[first], first, i - 1))
-            first = i
-    receivers = runs + [(0, ell, ell)]
-    return [
-        (v, w, last, j)
-        for v, _, last in runs
-        for w, j, w_last in receivers
-        if w != v - 1 and (w != v or j != w_last)
-    ]
-
-
 def transfer_neighbors(parts: Partition) -> set[Partition]:
     """Partitions reachable by moving one unit between two distinct parts.
 
     One part shrinks by 1 (vanishing if it was 1) and a different part or
     a newly adjoined zero part grows by 1. Each neighbour is one copy of
     the parts with two entries edited in place; no resorting is needed.
+
+    The outcome of a transfer depends only on the donor size v and the
+    receiver size w (0 for a new part, at index len(parts)), so each pair
+    is one neighbour. A transfer from v onto v-1 reproduces the input and
+    is skipped; v onto v needs two parts of size v. The donor is the last
+    part of its size (index i) and the receiver the first of its (index
+    j), so decrementing the one and incrementing the other keeps the
+    parts nonincreasing.
     """
+    validate_partition(parts)
+    ell = len(parts)
+    runs = []  # (size, first index, last index), largest size first
+    first = 0
+    for k in range(1, ell + 1):
+        if k == ell or parts[k] != parts[first]:
+            runs.append((parts[first], first, k - 1))
+            first = k
+    receivers = runs + [(0, ell, ell)]
     out: set[Partition] = set()
-    for v, w, i, j in _positional_moves(parts):
-        if w:
-            moved = list(parts)
-            moved[j] = w + 1
-        else:
-            moved = [*parts, 1]
-        if v > 1:
-            moved[i] = v - 1
-        else:
-            moved.pop()  # a donor of size 1 is the last part
-        out.add(tuple(moved))
+    for v, _, i in runs:
+        for w, j, w_last in receivers:
+            if w == v - 1 or (w == v and j == w_last):
+                continue
+            if w:
+                moved = list(parts)
+                moved[j] = w + 1
+            else:
+                moved = [*parts, 1]
+            if v > 1:
+                moved[i] = v - 1
+            else:
+                moved.pop()  # a donor of size 1 is the last part
+            out.add(tuple(moved))
     return out
 
 

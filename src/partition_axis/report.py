@@ -49,11 +49,11 @@ class RangeSummary:
     p: int
     axial: bool
     a: int
-    sigma: int | None
-    c1: int | None
-    extremal: dict[str, tuple[int, int, int | None, int | None, int | None]]
-    ax_shells: tuple[int, ...] | None
-    sp_shells: tuple[int, ...] | None
+    sigma: int
+    c1: int
+    extremal: dict[str, tuple[int, int, int, int | None, int | None]]
+    ax_shells: tuple[int, ...]
+    sp_shells: tuple[int, ...]
     seconds: float
 
 
@@ -62,15 +62,15 @@ def summarize(analysis: GraphAnalysis) -> RangeSummary:
     extremal = {}
     for inv in INVARIANTS:
         prof = analysis.profiles[inv]
-        axis_hits = len(prof.argmax & geom.axis) if geom.is_axial else None
+        axis_hits = len(prof.argmax & geom.axis)
         extremal[inv] = (prof.max_value, len(prof.argmax), axis_hits, prof.rho_ax, prof.rho_sp)
     return RangeSummary(
         n=analysis.n,
         p=analysis.graph.num_vertices,
         axial=geom.is_axial,
         a=len(geom.axis),
-        sigma=len(geom.spine) if geom.is_axial else None,
-        c1=len(central_region(geom, 1)) if geom.is_axial else None,
+        sigma=len(geom.spine),
+        c1=len(central_region(geom, 1)),
         extremal=extremal,
         ax_shells=geom.ax_shells,
         sp_shells=geom.sp_shells,
@@ -136,11 +136,9 @@ def render_extremal_location(summaries: list[RangeSummary]) -> str:
 
 
 def render_shells(summaries: list[RangeSummary]) -> str:
-    # Axisless n contribute no rows: their shells are undefined.
+    # Axisless n contribute no rows: their shells are empty.
     lines = [SHELLS_HEADER]
     for s in summaries:
-        if not s.axial:
-            continue
         for kind, shells in (("ax", s.ax_shells), ("sp", s.sp_shells)):
             lines += [f"{s.n},{kind},{k},{count}" for k, count in enumerate(shells)]
     return "\n".join(lines) + "\n"

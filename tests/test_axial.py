@@ -1,7 +1,7 @@
 import pytest
 
 from partition_axis import (
-    AxislessGraphError,
+    UNREACHABLE,
     PartitionGraph,
     central_region,
     compute_axis,
@@ -179,20 +179,20 @@ class TestShells:
 
 
 class TestAxisless:
-    def test_undefined_fields_are_none(self):
+    def test_fields_are_empty(self):
         geom = analyze(2).geometry
-        assert geom.spine is None
-        assert geom.ax_dist is None
-        assert geom.sp_dist is None
-        assert geom.ax_shells is None
-        assert geom.sp_shells is None
+        assert isinstance(geom.spine, frozenset) and geom.spine == frozenset()
+        assert geom.mediators == {}
+        assert geom.ax_dist == (UNREACHABLE, UNREACHABLE)
+        assert geom.sp_dist == (UNREACHABLE, UNREACHABLE)
+        assert geom.ax_shells == ()
+        assert geom.sp_shells == ()
 
-    def test_operations_raise(self):
+    def test_regions_are_empty(self):
         geom = analyze(2).geometry
-        with pytest.raises(AxislessGraphError):
-            central_region(geom, 1)
-        with pytest.raises(AxislessGraphError):
-            thick_spine(geom, 0)
+        for r in range(3):
+            assert central_region(geom, r) == frozenset()
+            assert thick_spine(geom, r) == frozenset()
 
 
 def test_interaction_graph_matches_direct_recomputation():

@@ -47,9 +47,10 @@ def test_invalid_range_is_usage_error(args, tmp_path):
 def test_out_dir_naming_a_file_is_usage_error(command, tmp_path):
     target = tmp_path / "taken"
     target.write_text("keep\n")
-    with pytest.raises(SystemExit) as exc:
-        main(command + ["--n-min", "1", "--n-max", "3", "--out-dir", str(target)])
-    assert exc.value.code == 2
+    for out_dir in (target, target / "sub"):
+        with pytest.raises(SystemExit) as exc:
+            main(command + ["--n-min", "1", "--n-max", "3", "--out-dir", str(out_dir)])
+        assert exc.value.code == 2
     assert target.read_text() == "keep\n"
     assert [p.name for p in tmp_path.iterdir()] == ["taken"]
 

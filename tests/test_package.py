@@ -1,4 +1,7 @@
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import partition_axis
@@ -35,3 +38,21 @@ def test_no_function_calls_itself_in_source():
                     and node.func.id == fn.name
                 ]
     assert found == []
+
+
+def test_cli_import_pulls_in_no_network_modules():
+    # xml.sax.saxutils imports urllib.request, which loads http.client,
+    # email and ssl at every start of the CLI.
+    code = (
+        "import sys, partition_axis.cli; "
+        "print(sorted({'xml.sax', 'urllib.request'} & set(sys.modules)))"
+    )
+    path = os.pathsep.join(filter(None, [str(SOURCE_DIR.parent), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    assert out == "[]\n"
