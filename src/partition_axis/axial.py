@@ -56,7 +56,7 @@ def interaction_graph(
     off-axis; an axial mediator raises ValueError rather than being
     filtered.
     """
-    neighbor_sets = {a: set(g.adjacency[a]) for a in axis}
+    neighbor_sets = {a: set(g.neighbors(a)) for a in axis}
     pairs: dict[AxialPair, frozenset[int]] = {}
     for a, b in combinations(sorted(axis), 2):
         common = neighbor_sets[a] & neighbor_sets[b]

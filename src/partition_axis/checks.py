@@ -101,10 +101,11 @@ def _check_conjugation_involution(a: GraphAnalysis) -> Outcome:
 
 def _check_conjugation_automorphism(a: GraphAnalysis) -> Outcome:
     g = a.graph
-    neighbor_sets = [set(row) for row in g.adjacency]
-    for u, row in enumerate(g.adjacency):
+    adj = g.adjacency
+    for u, row in enumerate(adj):
+        image = set(adj[g.conj[u]])
         for v in row:
-            if u < v and g.conj[v] not in neighbor_sets[g.conj[u]]:
+            if u < v and g.conj[v] not in image:
                 return False, (
                     f"edge ({format_partition(g.vertices[u])},"
                     f"{format_partition(g.vertices[v])}) breaks under conjugation"

@@ -2,15 +2,19 @@
 
 Vertices are all partitions of n in reverse-lexicographic order; two
 vertices are joined when one arises from the other by moving a single
-unit between two distinct parts. Conjugation permutes the vertices and
-preserves adjacency, so it is stored alongside the graph as an index
-permutation.
+unit between two distinct parts. The graph is stored as its clique
+cover from Young's lattice (see build_graph): one clique per partition
+of n-1, and for each vertex the cliques through it. Degrees and BFS read
+the cover directly; sorted adjacency rows are built only on request.
+Conjugation permutes the vertices and preserves adjacency, so it is
+stored alongside the graph as an index permutation.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 from .partitions import Partition, conjugate, enumerate_partitions
@@ -20,10 +24,19 @@ UNREACHABLE = -1
 
 @dataclass(frozen=True, eq=False)
 class PartitionGraph:
+    """G_n as an edge-disjoint union of cliques.
+
+    ``cliques[k]`` lists the members of clique k in ascending order, and
+    ``vertex_cliques[u]`` the ids of the cliques through u, ascending. Two
+    cliques share at most one vertex, so u's neighbours are the other
+    members of its cliques, each met once.
+    """
+
     n: int
     vertices: tuple[Partition, ...]
-    adjacency: tuple[tuple[int, ...], ...]
     conj: tuple[int, ...]
+    cliques: tuple[tuple[int, ...], ...]
+    vertex_cliques: tuple[tuple[int, ...], ...]
 
     @property
     def num_vertices(self) -> int:
@@ -31,15 +44,24 @@ class PartitionGraph:
 
     @property
     def num_edges(self) -> int:
-        return sum(len(a) for a in self.adjacency) // 2
+        return sum(len(c) * (len(c) - 1) for c in self.cliques) // 2
+
+    def neighbors(self, u: int) -> tuple[int, ...]:
+        """The neighbours of u, ascending."""
+        cliques = self.cliques
+        return tuple(sorted(v for k in self.vertex_cliques[u] for v in cliques[k] if v != u))
+
+    @cached_property
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        """Every sorted neighbour row, built on first use and then kept."""
+        return tuple(self.neighbors(u) for u in range(self.num_vertices))
 
 
 def build_graph(n: int) -> PartitionGraph:
     """Materialize the transfer graph for all partitions of n.
 
-    Adjacency lists are sorted ascending and the graph is simple. Edges
-    come from covers in Young's lattice (nu + e_j adds one cell in row
-    j), not from per-vertex transfers:
+    Edges come from covers in Young's lattice (nu + e_j adds one cell in
+    row j), not from per-vertex transfers:
 
     lambda != mu are adjacent exactly when both cover the same nu |- n-1.
     A transfer can take its unit from the last part of the donor size
@@ -52,53 +74,46 @@ def build_graph(n: int) -> PartitionGraph:
     zero-padded pair, so each edge lies in exactly one nu's clique: G_n
     is the edge-disjoint union, over nu |- n-1, of the complete graphs
     on nu's k + 1 upper covers (a cell added at the first index of each
-    of its k runs, or a new part 1).
+    of its k runs, or a new part 1). A vertex lambda lies in the cliques
+    of its lower covers, one per distinct part, so it is in k(lambda)
+    cliques and has degree sum(|K| - 1) over them.
 
     Each nu is visited once, as ``lam[:-1]`` for the vertex ``lam`` that
     ends in 1; ``lam`` is nu's new-part cover, and the others are looked
-    up in the index. nu -> nu + (1,) keeps lexicographic order, so the
-    nu are visited in reverse-lexicographic order. The lower covers of a
-    vertex c remove a cell at the last index of a run of c; the smallest,
-    hence visited last, is the one that lowers c's largest part. So c's
-    row is complete, and is sorted and frozen, once nu = c - e_j is
-    visited with c[j] == c[0]. Only the rows still open are held. The
-    conjugation permutation is found by locating each vertex's conjugate
-    in the index.
+    up in the index. A cell added higher up gives a lexicographically
+    larger partition, so each clique comes out in ascending vertex order,
+    and the new-part cover last. The conjugation permutation is found by
+    locating each vertex's conjugate in the index.
     """
     vertices = tuple(enumerate_partitions(n))
     index = {p: i for i, p in enumerate(vertices)}
     conj = tuple(index[conjugate(p)] for p in vertices)
-    adjacency: list[tuple[int, ...]] = [()] * len(vertices)
-    open_rows: dict[int, list[int]] = {}
+    cliques = []
+    vertex_cliques: list[tuple[int, ...]] = [()] * len(vertices)
     for lam, new_row in index.items():
         if lam[-1] != 1:
             continue
         nu = lam[:-1]
-        top = nu[0] if nu else 0
+        k = len(cliques)
         clique = []
-        done = []
         above = 0
         for j, v in enumerate(nu):
             if v != above:
                 u = index[nu[:j] + (v + 1,) + nu[j + 1 :]]
                 clique.append(u)
-                if v + 1 >= top:
-                    done.append(u)
+                vertex_cliques[u] += (k,)
             above = v
         clique.append(new_row)
-        if top <= 1:
-            done.append(new_row)
-        for k, u in enumerate(clique):
-            row = open_rows.get(u)
-            if row is None:
-                open_rows[u] = clique[:k] + clique[k + 1 :]
-            else:
-                row += clique[:k]
-                row += clique[k + 1 :]
-        for u in done:
-            adjacency[u] = tuple(sorted(open_rows.pop(u)))
+        vertex_cliques[new_row] += (k,)
+        cliques.append(tuple(clique))
     del index
-    return PartitionGraph(n=n, vertices=vertices, adjacency=tuple(adjacency), conj=conj)
+    return PartitionGraph(
+        n=n,
+        vertices=vertices,
+        conj=conj,
+        cliques=tuple(cliques),
+        vertex_cliques=tuple(vertex_cliques),
+    )
 
 
 def bfs_distances(g: PartitionGraph, sources: Iterable[int]) -> list[int]:
@@ -106,6 +121,17 @@ def bfs_distances(g: PartitionGraph, sources: Iterable[int]) -> list[int]:
 
     Vertices not reachable from any source (in particular every vertex
     when ``sources`` is empty) get the UNREACHABLE sentinel, never 0.
+
+    The search walks cliques, not rows: a clique is scanned once, when
+    the first of its members is dequeued, and skipped after that. This
+    labels every vertex as a row-scanning BFS does. Let x be the first
+    dequeued neighbour of an unlabelled v, and K the one clique holding
+    the edge xv. Had K been scanned before x was dequeued, its scanner
+    would be a member dequeued earlier, and not v (never queued), so a
+    neighbour of v dequeued before x; there is none. So x scans K and v
+    gets dist(x) + 1, and no earlier scan can reach v, since its scanner
+    would also be a neighbour dequeued before x. Each clique is read once
+    and each vertex's clique list once.
 
     Distance is half the L1 distance of zero-padded part vectors. A
     transfer moves two coordinates by one, so no path is shorter. For
@@ -115,7 +141,9 @@ def bfs_distances(g: PartitionGraph, sources: Iterable[int]) -> list[int]:
     the other is a transfer, keeps lambda sorted and lowers the L1
     distance by 2. Hence d((n), lambda) = n - lambda_1.
     """
+    cliques, vertex_cliques = g.cliques, g.vertex_cliques
     dist = [UNREACHABLE] * g.num_vertices
+    scanned = bytearray(len(cliques))
     queue: deque[int] = deque()
     for s in sorted(set(sources)):
         dist[s] = 0
@@ -123,8 +151,12 @@ def bfs_distances(g: PartitionGraph, sources: Iterable[int]) -> list[int]:
     while queue:
         u = queue.popleft()
         du = dist[u] + 1
-        for v in g.adjacency[u]:
-            if dist[v] == UNREACHABLE:
-                dist[v] = du
-                queue.append(v)
+        for k in vertex_cliques[u]:
+            if scanned[k]:
+                continue
+            scanned[k] = 1
+            for v in cliques[k]:
+                if dist[v] == UNREACHABLE:
+                    dist[v] = du
+                    queue.append(v)
     return dist

@@ -117,15 +117,18 @@ def all_profiles(
 
     A radius is None when a maximizer is unreachable, as for axisless n.
     The clique values are computed once; dim_loc is omega_loc shifted
-    down by one, so it shares omega_loc's argmax and radii.
+    down by one, so it shares omega_loc's argmax and radii. deg is read
+    off the clique cover: the sum of |K| - 1 over the cliques K through v.
     """
     omega = _build_profile(
         OMEGA_LOC,
         tuple(local_clique_number(g, v) for v in range(g.num_vertices)),
         geometry,
     )
+    cliques = g.cliques
+    deg = tuple(sum(len(cliques[k]) - 1 for k in ks) for ks in g.vertex_cliques)
     return {
-        DEG: _build_profile(DEG, tuple(len(a) for a in g.adjacency), geometry),
+        DEG: _build_profile(DEG, deg, geometry),
         OMEGA_LOC: omega,
         DIM_LOC: replace(
             omega,

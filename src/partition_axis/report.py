@@ -12,7 +12,6 @@ import hashlib
 import json
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -92,6 +91,10 @@ def compute_summaries(n_min: int, n_max: int, threads: int = 1) -> list[RangeSum
     """
     ns = range(n_min, n_max + 1)
     if threads > 1:
+        # Imported here: it loads multiprocessing, socket and pickle, which
+        # a one-worker run and every verify or export start would pay for.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=threads) as pool:
             futures = {n: pool.submit(_timed_summary, n) for n in reversed(ns)}
             return [futures[n].result() for n in ns]

@@ -6,12 +6,13 @@ an explicit cell set, transfers by trying every (donor index, receiver
 index) pair, corners by checking that the cell set stays
 downward-closed, the local clique number by a pivoted branch search
 over the adjacency lists or by counting transfers per donor and
-receiver, and graph distance as half the L1 distance of part vectors.
+receiver, graph distance as half the L1 distance of part vectors, and
+BFS by scanning every adjacency row in full.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, deque
 from itertools import zip_longest
 
 
@@ -166,3 +167,21 @@ def l1_distance_to_set(parts, targets):
         sum(abs(x - y) for x, y in zip_longest(parts, other, fillvalue=0)) // 2
         for other in targets
     )
+
+
+def bfs_distances_by_rows(adjacency, sources):
+    """Multi-source BFS that reads each dequeued vertex's whole row;
+    unreached vertices get -1."""
+    unreachable = -1
+    dist = [unreachable] * len(adjacency)
+    queue = deque()
+    for s in sorted(set(sources)):
+        dist[s] = 0
+        queue.append(s)
+    while queue:
+        u = queue.popleft()
+        for v in adjacency[u]:
+            if dist[v] == unreachable:
+                dist[v] = dist[u] + 1
+                queue.append(v)
+    return dist

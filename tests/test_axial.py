@@ -70,12 +70,14 @@ class TestInteractionGraph:
             assert all(a < b and {a, b} <= geom.axis for a, b in geom.mediators)
 
     def test_axial_mediator_is_an_error(self):
-        # Hand-made graph: "axis" vertices 0 and 1 share the axial neighbour 2.
+        # Hand-made graph: "axis" vertices 0 and 1 share the axial neighbour 2,
+        # through the two cliques {0, 2} and {1, 2}.
         g = PartitionGraph(
             n=3,
             vertices=((3,), (2, 1), (1, 1, 1)),
-            adjacency=((2,), (2,), (0, 1)),
             conj=(0, 1, 2),
+            cliques=((0, 2), (1, 2)),
+            vertex_cliques=((0,), (1,), (0, 1)),
         )
         with pytest.raises(ValueError, match="axial mediator"):
             interaction_graph(g, frozenset({0, 1, 2}))

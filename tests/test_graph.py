@@ -1,8 +1,18 @@
+from dataclasses import replace
+
 import pytest
 
 from partition_axis import UNREACHABLE, bfs_distances, build_graph, transfer_neighbors
+from partition_axis.checks import _check_conjugation_automorphism
+from partition_axis.invariants import DEG
 
-from oracles import graph_by_brute_force, naive_transfer_neighbors, partitions_by_growth
+from memo import analyze
+from oracles import (
+    bfs_distances_by_rows,
+    graph_by_brute_force,
+    naive_transfer_neighbors,
+    partitions_by_growth,
+)
 
 
 def test_rejects_invalid_n():
@@ -29,6 +39,27 @@ def test_n2_conjugate_pair():
 def test_equals_brute_force_graph(n):
     g = build_graph(n)
     assert (g.vertices, g.adjacency, g.conj) == graph_by_brute_force(n)
+
+
+@pytest.mark.parametrize("n", range(1, 19))
+def test_clique_cover_matches_brute_force_graph(n):
+    # One clique per partition of n-1, each a clique of the brute-force
+    # graph; a vertex lies in one clique per distinct part, and the
+    # cliques' pairs are exactly the edges.
+    g = build_graph(n)
+    _, adjacency, _ = graph_by_brute_force(n)
+    neighbor_sets = [set(row) for row in adjacency]
+    assert len(g.cliques) == len(partitions_by_growth(n - 1))
+    for k, clique in enumerate(g.cliques):
+        assert list(clique) == sorted(set(clique))
+        for i, u in enumerate(clique):
+            assert k in g.vertex_cliques[u]
+            assert all(v in neighbor_sets[u] for v in clique[i + 1 :])
+    for parts, ks in zip(g.vertices, g.vertex_cliques):
+        assert list(ks) == sorted(ks)
+        assert len(ks) == len(set(parts))
+    pairs = sum(len(c) * (len(c) - 1) // 2 for c in g.cliques)
+    assert pairs == sum(map(len, adjacency)) // 2 == g.num_edges
 
 
 @pytest.mark.parametrize("n", range(19, 31))
@@ -68,6 +99,32 @@ def test_adjacency_sorted_symmetric_irreflexive():
             assert u not in row
             for v in row:
                 assert u in g.adjacency[v]
+
+
+def test_adjacency_rows_are_built_once_on_request():
+    g = build_graph(9)
+    assert "adjacency" not in vars(g)
+    rows = g.adjacency
+    assert g.adjacency is rows
+    assert rows == tuple(g.neighbors(u) for u in range(g.num_vertices))
+
+
+def test_conjugation_automorphism_check_reports_first_broken_edge():
+    a = analyze(12)
+    conj = list(a.graph.conj)
+    conj[0], conj[1] = conj[1], conj[0]
+    broken = replace(a, graph=replace(a.graph, conj=tuple(conj)))
+    assert _check_conjugation_automorphism(a) == (True, "")
+    assert _check_conjugation_automorphism(broken) == (
+        False, "edge (11,1,10,2) breaks under conjugation"
+    )
+
+
+@pytest.mark.parametrize("n", range(1, 31))
+def test_degree_is_transfer_count(n):
+    a = analyze(n)
+    deg = a.profiles[DEG].values
+    assert deg == tuple(len(transfer_neighbors(parts)) for parts in a.graph.vertices)
 
 
 def test_conj_is_involutive_automorphism():
@@ -127,6 +184,13 @@ class TestBfs:
         g = build_graph(n)
         dist = bfs_distances(g, [0])
         assert dist == [n - parts[0] for parts in g.vertices]
+
+    @pytest.mark.parametrize("n", range(1, 31))
+    def test_clique_walk_matches_row_scanning_twin(self, n):
+        a = analyze(n)
+        g, geo = a.graph, a.geometry
+        for sources in ([0], geo.axis, geo.spine):
+            assert bfs_distances(g, sources) == bfs_distances_by_rows(g.adjacency, sources)
 
     def test_conj_invariant_for_conj_invariant_sources(self):
         for n in range(3, 13):

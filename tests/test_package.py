@@ -42,10 +42,13 @@ def test_no_function_calls_itself_in_source():
 
 def test_cli_import_pulls_in_no_network_modules():
     # xml.sax.saxutils imports urllib.request, which loads http.client,
-    # email and ssl at every start of the CLI.
+    # email and ssl at every start of the CLI; concurrent.futures'
+    # process pool loads multiprocessing, socket, pickle and subprocess,
+    # which only `report --threads` above 1 needs.
+    unwanted = {"xml.sax", "urllib.request", "multiprocessing", "concurrent.futures"}
     code = (
         "import sys, partition_axis.cli; "
-        "print(sorted({'xml.sax', 'urllib.request'} & set(sys.modules)))"
+        f"print(sorted({unwanted!r} & set(sys.modules)))"
     )
     path = os.pathsep.join(filter(None, [str(SOURCE_DIR.parent), os.environ.get("PYTHONPATH")]))
     out = subprocess.run(

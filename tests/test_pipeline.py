@@ -3,7 +3,7 @@ import weakref
 
 import pytest
 
-from partition_axis import checks, exports, pipeline, report
+from partition_axis import axial_geometry, build_graph, central_region, checks, exports, pipeline, report
 from partition_axis.checks import verify_range
 from partition_axis.exports import export_graph
 from partition_axis.report import run_range
@@ -36,3 +36,13 @@ def test_range_runs_keep_no_analysis_alive(run, tmp_path, monkeypatch):
     gc.collect()
     assert len(refs) == RANGE[1] - RANGE[0] + 1
     assert [ref().n for ref in refs if ref() is not None] == []
+
+
+@pytest.mark.parametrize("n", [2, 9, 16, 24])
+def test_report_and_geometry_paths_build_no_adjacency_rows(n):
+    # Degrees, BFS and mediators read the clique cover; sorted rows are
+    # only for verify and export.
+    assert "adjacency" not in vars(pipeline.analyze(n).graph)
+    g = build_graph(n)
+    central_region(axial_geometry(g), 1)
+    assert "adjacency" not in vars(g)
