@@ -1,17 +1,20 @@
 """Structural property suites, run per n by the verify command.
 
-Each check re-derives a structural fact from raw data (adjacency lists,
-the conjugation permutation, distance arrays) independently of the code
-paths it validates, and reports the first counterexample on failure.
+Each check re-derives a structural fact from raw data (the partitions,
+the clique cover of G_n, the conjugation permutation, distance arrays)
+independently of the code paths it validates, and reports the first
+counterexample on failure. The checks read the cover, not adjacency
+rows: only clique_oracle, for small n, builds rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import lt
 from typing import Callable
 
 from .axial import central_region, thick_spine
-from .graph import UNREACHABLE, bfs_distances
+from .graph import UNREACHABLE, PartitionGraph, bfs_distances
 from .invariants import (
     DEG,
     DIM_LOC,
@@ -21,7 +24,7 @@ from .invariants import (
     local_clique_number,
     local_clique_number_oracle,
 )
-from .partitions import ADDABLE, REMOVABLE, corners, format_partition
+from .partitions import Partition, format_partition
 from .pipeline import GraphAnalysis, analyze
 
 ORACLE_N_LIMIT = 14
@@ -81,13 +84,36 @@ def _check_partition_count(a: GraphAnalysis) -> Outcome:
 
 
 def _check_adjacency_symmetric_irreflexive(a: GraphAnalysis) -> Outcome:
-    adj = a.graph.adjacency
-    for u, row in enumerate(adj):
-        if u in row:
-            return False, f"self-loop at {format_partition(a.graph.vertices[u])}"
-        for v in row:
-            if u not in adj[v]:
-                return False, f"asymmetric edge ({u},{v})"
+    # The cover is G_n's: each clique lists, strictly ascending, the
+    # k(nu) + 1 upper covers of its members' componentwise minimum
+    # nu |- n-1 (map's truncation drops the zero padding), no two cliques
+    # are equal (so no nu comes twice), and vertex_cliques is its
+    # transpose, with k(lambda) cliques per vertex, one per lower cover.
+    # By the covering lemma in build_graph its cliques then hold every
+    # edge exactly once, so the rows read off it are symmetric and
+    # irreflexive.
+    g = a.graph
+    vertices, vertex_cliques = g.vertices, g.vertex_cliques
+    for k, members in enumerate(g.cliques):
+        if not all(map(lt, members, members[1:])):
+            return False, f"clique {k} is not strictly ascending"
+        # A lone member is the cover (1) of nu = (), at n = 1. nu is a list:
+        # freed tuples stay on CPython's per-length free lists, which held
+        # about 0.45 MiB of them after this loop at n = 30.
+        nu = list(map(min, *(vertices[u] for u in members))) if len(members) > 1 else []
+        if sum(nu) != a.n - 1 or len(members) != len(set(nu)) + 1:
+            return False, f"clique {k} is not the upper covers of one partition of n-1"
+        if not all(k in vertex_cliques[u] for u in members):
+            return False, f"clique {k} is missing from vertex_cliques"
+    if len(set(g.cliques)) != len(g.cliques):
+        return False, "two cliques cover one partition of n-1"
+    for parts, ks in zip(vertices, vertex_cliques):
+        if not all(map(lt, ks, ks[1:])) or len(ks) != len(set(parts)):
+            return False, f"{format_partition(parts)} lies in cliques {ks}"
+    # Each clique's incidences are listed, and no more, so the lists are
+    # the transpose.
+    if sum(map(len, vertex_cliques)) != sum(map(len, g.cliques)):
+        return False, "vertex_cliques lists more incidences than cliques"
     return True, ""
 
 
@@ -100,54 +126,111 @@ def _check_conjugation_involution(a: GraphAnalysis) -> Outcome:
 
 
 def _check_conjugation_automorphism(a: GraphAnalysis) -> Outcome:
+    # conj maps every clique of the cover onto a clique of the cover. As
+    # every edge lies in a clique, each edge maps onto an edge.
     g = a.graph
-    adj = g.adjacency
-    for u, row in enumerate(adj):
-        image = set(adj[g.conj[u]])
-        for v in row:
-            if u < v and g.conj[v] not in image:
-                return False, (
-                    f"edge ({format_partition(g.vertices[u])},"
-                    f"{format_partition(g.vertices[v])}) breaks under conjugation"
-                )
+    conj, vertex_cliques = g.conj, g.vertex_cliques
+    cliques = set(g.cliques)
+    for members in g.cliques:
+        if tuple(sorted(conj[u] for u in members)) in cliques:
+            continue
+        # Name the first edge whose image is no edge. If every image is an
+        # edge, the images still lie in no one clique: name the first edge.
+        u, v = next(
+            ((u, v) for i, u in enumerate(members) for v in members[i + 1 :]
+             if not set(vertex_cliques[conj[u]]) & set(vertex_cliques[conj[v]])),
+            members[:2],
+        )
+        return False, (
+            f"edge ({format_partition(g.vertices[u])},"
+            f"{format_partition(g.vertices[v])}) breaks under conjugation"
+        )
     return True, ""
 
 
+def _transfer_count(parts: Partition) -> int:
+    """Unit transfers out of a partition, the sum of r(v) over its part
+    sizes v (see local_clique_number): each of the k sizes can give to the
+    k other sizes or a new part, less v - 1 (that gives the partition
+    back) when v - 1 is a size or 0, and less v itself when v is a single
+    part. A run is read at its last index, where the part above equals it
+    iff the size repeats."""
+    lost = [
+        (below == size - 1) + (above != size)
+        for above, size, below in zip((0, *parts), parts, (*parts[1:], 0))
+        if size != below
+    ]
+    return len(lost) * (len(lost) + 1) - sum(lost)
+
+
 def _check_degree_sum(a: GraphAnalysis) -> Outcome:
-    total = sum(len(row) for row in a.graph.adjacency)
-    ok = total == 2 * a.graph.num_edges
-    return ok, "" if ok else f"degree sum {total} != 2*{a.graph.num_edges}"
+    # Each vertex's cover degree, the sum of |K| - 1 over its cliques, is
+    # its transfer count; the degrees add up to twice the edge count.
+    g = a.graph
+    sizes = [len(members) - 1 for members in g.cliques]
+    total = 0
+    for parts, ks in zip(g.vertices, g.vertex_cliques):
+        deg = sum(sizes[k] for k in ks)
+        if deg != _transfer_count(parts):
+            return False, f"{format_partition(parts)} has cover degree {deg}, closed form {_transfer_count(parts)}"
+        total += deg
+    ok = total == 2 * g.num_edges
+    return ok, "" if ok else f"degree sum {total} != 2*{g.num_edges}"
 
 
 def _check_diagonal_corner_exclusivity(a: GraphAnalysis) -> Outcome:
+    # Row i's removable cell (i, parts[i-1]) is diagonal when
+    # parts[i-1] == i > parts[i], its addable cell (i, parts[i-1] + 1) when
+    # parts[i-1] == i-1 < parts[i-2]. Both need parts[i-1] >= i-1, which
+    # fails for good one row past the Durfee square.
     for parts in a.graph.vertices:
-        kinds = {c.kind for c in corners(parts) if c.diagonal}
-        if REMOVABLE in kinds and ADDABLE in kinds:
+        removable = addable = False
+        for i, here in enumerate(parts, 1):
+            if here < i - 1:
+                break
+            if here == i and (i == len(parts) or parts[i] < i):
+                removable = True
+            elif i > 1 and here == i - 1 < parts[i - 2]:
+                addable = True
+        if removable and addable:
             return False, f"{format_partition(parts)} has both diagonal corner kinds"
     return True, ""
 
 
 def _check_bfs_triangle(a: GraphAnalysis) -> Outcome:
+    # Over each clique the reachable distances differ by at most 1; every
+    # edge lies in exactly one clique, so no edge jumps a BFS layer.
     g = a.graph
     source_sets = {"v0": [0], "axis": a.geometry.axis, "spine": a.geometry.spine}
     for tag, sources in source_sets.items():
         dist = bfs_distances(g, sources)
-        for u, row in enumerate(g.adjacency):
-            for v in row:
-                if dist[u] != UNREACHABLE and dist[v] != UNREACHABLE and abs(dist[u] - dist[v]) > 1:
-                    return False, f"edge ({u},{v}) jumps {dist[u]}->{dist[v]} from {tag}"
+        for members in g.cliques:
+            spread = [dist[v] for v in members]
+            if max(spread) - min(spread) <= 1:
+                continue
+            reached = [v for v in members if dist[v] != UNREACHABLE]
+            u = min(reached, key=dist.__getitem__)
+            v = max(reached, key=dist.__getitem__)
+            if dist[v] - dist[u] > 1:
+                return False, f"edge ({u},{v}) jumps {dist[u]}->{dist[v]} from {tag}"
     return True, ""
 
 
+def _axis_members(g: PartitionGraph, axis: frozenset[int]) -> list[int]:
+    """How many axis vertices each clique holds."""
+    return [sum(map(axis.__contains__, members)) for members in g.cliques]
+
+
 def _check_axis_edgeless(a: GraphAnalysis) -> Outcome:
+    # Each clique holds at most one axis vertex.
+    g = a.graph
     axis = a.geometry.axis
-    for u in axis:
-        hit = axis & set(a.graph.adjacency[u])
-        if hit:
-            v = min(hit)
+    for k, count in enumerate(_axis_members(g, axis)):
+        if count > 1:
+            u, v = [u for u in g.cliques[k] if u in axis][:2]
             return False, (
-                f"axis vertices {format_partition(a.graph.vertices[u])} and "
-                f"{format_partition(a.graph.vertices[v])} are adjacent"
+                f"axis vertices {format_partition(g.vertices[u])} and "
+                f"{format_partition(g.vertices[v])} are adjacent"
             )
     return True, ""
 
@@ -180,15 +263,18 @@ def _check_spine_conj_invariant(a: GraphAnalysis) -> Outcome:
 
 def _check_spine_membership(a: GraphAnalysis) -> Outcome:
     # Independent re-derivation: an off-axis vertex is spinal iff it is
-    # adjacent to two distinct axis vertices.
+    # adjacent to two distinct axis vertices. Its cliques meet only in
+    # itself, so its axis neighbours are counted clique by clique.
+    g = a.graph
     geom = a.geometry
     axis = geom.axis
-    for v in range(a.graph.num_vertices):
+    on_axis = _axis_members(g, axis)
+    for v, ks in enumerate(g.vertex_cliques):
         if v in axis:
             continue
-        bridging = len(axis & set(a.graph.adjacency[v])) >= 2
+        bridging = sum(on_axis[k] for k in ks) >= 2
         if bridging != (v in geom.spine):
-            return False, f"{format_partition(a.graph.vertices[v])} misclassified for the spine"
+            return False, f"{format_partition(g.vertices[v])} misclassified for the spine"
     return True, ""
 
 

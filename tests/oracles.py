@@ -5,15 +5,21 @@ grown one cell at a time and sorted, conjugation is done by transposing
 an explicit cell set, transfers by trying every (donor index, receiver
 index) pair, corners by checking that the cell set stays
 downward-closed, the local clique number by a pivoted branch search
-over the adjacency lists or by counting transfers per donor and
+over adjacency bitsets or by counting transfers per donor and
 receiver, graph distance as half the L1 distance of part vectors, and
 BFS by scanning every adjacency row in full.
+
+The ``*_by_rows`` checks at the end are the row-based forms of verify's
+checks that now read the clique cover; tests compare the two verdicts.
 """
 
 from __future__ import annotations
 
 from collections import Counter, deque
 from itertools import zip_longest
+
+from partition_axis import UNREACHABLE, bfs_distances, corners, format_partition
+from partition_axis.partitions import ADDABLE, REMOVABLE
 
 
 def cells(parts):
@@ -105,34 +111,47 @@ def addable_cells(parts):
     return {c for c in candidates if is_downward_closed(diagram | {c})}
 
 
-def _max_clique_size(candidates: set[int], adj: dict[int, set[int]]) -> int:
-    """Largest clique among ``candidates``, by pivoted branch enumeration."""
+def _bits(mask):
+    """The set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _max_clique_size(candidates: int, rows: list[int]) -> int:
+    """Largest clique among the vertices set in ``candidates``, where bit
+    w of ``rows[u]`` marks the edge uw, by pivoted branch and bound.
+
+    Every clique that cannot grow within the candidates holds the pivot
+    or a candidate outside the pivot's row, so only those are branched
+    on; a branch stops once its candidates cannot beat the best found.
+    """
     best = 0
 
-    def expand(size: int, p: set[int], x: set[int]) -> None:
+    def expand(size: int, p: int) -> None:
         nonlocal best
-        if not p and not x:
-            if size > best:
-                best = size
+        if not p:
+            best = max(best, size)
             return
-        pivot = max(p | x, key=lambda u: len(p & adj[u]))
-        for v in list(p - adj[pivot]):
-            expand(size + 1, p & adj[v], x & adj[v])
-            p.remove(v)
-            x.add(v)
+        if size + p.bit_count() <= best:
+            return
+        pivot = max(_bits(p), key=lambda u: (p & rows[u]).bit_count())
+        for v in _bits(p & ~rows[pivot]):
+            expand(size + 1, p & rows[v])
+            p ^= 1 << v
+            if size + p.bit_count() <= best:
+                return
 
-    expand(0, set(candidates), set())
+    expand(0, candidates)
     return best
 
 
-def local_clique_number_by_search(g, v):
-    """1 + the clique number of the graph induced on N(v), searched."""
-    neighborhood = g.adjacency[v]
-    if not neighborhood:
-        return 1
-    members = set(neighborhood)
-    induced = {u: set(g.adjacency[u]) & members for u in neighborhood}
-    return 1 + _max_clique_size(members, induced)
+def local_clique_numbers_by_search(g):
+    """1 + the clique number of the graph induced on N(v), searched, for
+    every vertex v; each adjacency row becomes one int bitset."""
+    rows = [sum(1 << w for w in row) for row in g.adjacency]
+    return [1 + _max_clique_size(row, rows) for row in rows]
 
 
 def transfer_moves(parts):
@@ -185,3 +204,91 @@ def bfs_distances_by_rows(adjacency, sources):
                 dist[v] = dist[u] + 1
                 queue.append(v)
     return dist
+
+
+def adjacency_symmetric_irreflexive_by_rows(a):
+    adj = a.graph.adjacency
+    for u, row in enumerate(adj):
+        if u in row:
+            return False, f"self-loop at {format_partition(a.graph.vertices[u])}"
+        for v in row:
+            if u not in adj[v]:
+                return False, f"asymmetric edge ({u},{v})"
+    return True, ""
+
+
+def conjugation_automorphism_by_rows(a):
+    g = a.graph
+    adj = g.adjacency
+    for u, row in enumerate(adj):
+        image = set(adj[g.conj[u]])
+        for v in row:
+            if u < v and g.conj[v] not in image:
+                return False, (
+                    f"edge ({format_partition(g.vertices[u])},"
+                    f"{format_partition(g.vertices[v])}) breaks under conjugation"
+                )
+    return True, ""
+
+
+def degree_sum_by_rows(a):
+    total = sum(len(row) for row in a.graph.adjacency)
+    ok = total == 2 * a.graph.num_edges
+    return ok, "" if ok else f"degree sum {total} != 2*{a.graph.num_edges}"
+
+
+def diagonal_corner_exclusivity_by_corners(a):
+    for parts in a.graph.vertices:
+        kinds = {c.kind for c in corners(parts) if c.diagonal}
+        if REMOVABLE in kinds and ADDABLE in kinds:
+            return False, f"{format_partition(parts)} has both diagonal corner kinds"
+    return True, ""
+
+
+def bfs_triangle_by_rows(a):
+    g = a.graph
+    source_sets = {"v0": [0], "axis": a.geometry.axis, "spine": a.geometry.spine}
+    for tag, sources in source_sets.items():
+        dist = bfs_distances(g, sources)
+        for u, row in enumerate(g.adjacency):
+            for v in row:
+                if dist[u] != UNREACHABLE and dist[v] != UNREACHABLE and abs(dist[u] - dist[v]) > 1:
+                    return False, f"edge ({u},{v}) jumps {dist[u]}->{dist[v]} from {tag}"
+    return True, ""
+
+
+def axis_edgeless_by_rows(a):
+    axis = a.geometry.axis
+    for u in axis:
+        hit = axis & set(a.graph.adjacency[u])
+        if hit:
+            v = min(hit)
+            return False, (
+                f"axis vertices {format_partition(a.graph.vertices[u])} and "
+                f"{format_partition(a.graph.vertices[v])} are adjacent"
+            )
+    return True, ""
+
+
+def spine_membership_by_rows(a):
+    geom = a.geometry
+    axis = geom.axis
+    for v in range(a.graph.num_vertices):
+        if v in axis:
+            continue
+        bridging = len(axis & set(a.graph.adjacency[v])) >= 2
+        if bridging != (v in geom.spine):
+            return False, f"{format_partition(a.graph.vertices[v])} misclassified for the spine"
+    return True, ""
+
+
+# verify's check name -> its row-based (or corners()-based) twin
+CHECK_TWINS = {
+    "adjacency_symmetric_irreflexive": adjacency_symmetric_irreflexive_by_rows,
+    "conjugation_automorphism": conjugation_automorphism_by_rows,
+    "degree_sum": degree_sum_by_rows,
+    "diagonal_corner_exclusivity": diagonal_corner_exclusivity_by_corners,
+    "bfs_triangle": bfs_triangle_by_rows,
+    "axis_edgeless": axis_edgeless_by_rows,
+    "spine_membership": spine_membership_by_rows,
+}

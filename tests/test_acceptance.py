@@ -14,6 +14,7 @@ from partition_axis.report import run_range
 from memo import analyze
 
 GOLDEN = Path(__file__).parent / "golden"
+EXTENDED = Path(__file__).parent / "extended"
 FULL_RANGE = (1, 30)
 
 
@@ -80,13 +81,12 @@ def test_criterion_3_radius_bounds(full_report):
 
 
 def test_criterion_4_structural_properties():
-    failures = []
-    for n in range(1, 21):
-        failures += [r for r in run_checks(n) if r.failed]
+    results = [r for n in range(1, 21) for r in run_checks(n)]
+    failures = [r.line() for r in results if r.failed]
     ok = not failures
-    assert _verdict("criterion-4 structural-property-suite (n<=20)", ok), [
-        r.line() for r in failures
-    ]
+    assert _verdict("criterion-4 structural-property-suite (n<=20)", ok), failures
+    pinned = (EXTENDED / "verify_1_20.txt").read_text().splitlines()
+    assert [r.line() for r in results] == [line for line in pinned if not line.startswith("#")]
 
 
 def test_criterion_5_clique_oracle_equivalence():

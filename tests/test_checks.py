@@ -1,0 +1,112 @@
+"""verify's cover-reading checks and its diagonal-corner check against
+their twins.
+
+oracles.CHECK_TWINS holds each check's earlier form: it reads adjacency
+rows or, for the corner check, calls `corners()`. On real analyses both
+forms give the same verdict, and both reject each tampered input.
+"""
+
+from dataclasses import replace
+
+import pytest
+
+from partition_axis.checks import _CHECKS
+
+from memo import analyze
+from oracles import CHECK_TWINS
+
+CHECKS = {name: fn for name, fn, *_ in _CHECKS}
+
+
+@pytest.mark.parametrize("name", sorted(CHECK_TWINS))
+def test_cover_check_agrees_with_twin_through_n20(name):
+    for n in range(1, 21):
+        a = analyze(n)
+        assert CHECKS[name](a) == CHECK_TWINS[name](a), n
+
+
+def _with_graph(a, **fields):
+    return replace(a, graph=replace(a.graph, **fields))
+
+
+def _with_geometry(a, **fields):
+    return replace(a, geometry=replace(a.geometry, **fields))
+
+
+def _drop_clique_member(a):
+    # the first three-member clique loses its last member; the vertex
+    # still lists the clique
+    g = a.graph
+    k = next(k for k, members in enumerate(g.cliques) if len(members) == 3)
+    cliques = list(g.cliques)
+    cliques[k] = cliques[k][:-1]
+    return _with_graph(a, cliques=tuple(cliques))
+
+
+def _drop_vertex_clique(a):
+    # (6,4,2) forgets its first clique
+    g = a.graph
+    u = g.vertices.index((6, 4, 2))
+    vertex_cliques = list(g.vertex_cliques)
+    vertex_cliques[u] = vertex_cliques[u][1:]
+    return _with_graph(a, vertex_cliques=tuple(vertex_cliques))
+
+
+def _swap_conj(a):
+    conj = list(a.graph.conj)
+    conj[0], conj[1] = conj[1], conj[0]
+    return _with_graph(a, conj=tuple(conj))
+
+
+def _unsort_vertex(a):
+    # (7,1,3,1) is no partition: it has a removable diagonal cell (3,3)
+    # and an addable one (2,2)
+    g = a.graph
+    vertices = list(g.vertices)
+    vertices[g.vertices.index((7, 3, 1, 1))] = (7, 1, 3, 1)
+    return _with_graph(a, vertices=tuple(vertices))
+
+
+def _join_far_clique_to_source(a):
+    # vertex 0 = (n) joins the last clique, whose members lie n-2 and n-1
+    # from it, but does not list that clique, so BFS from (n) never scans it
+    g = a.graph
+    cliques = g.cliques[:-1] + ((0, *g.cliques[-1]),)
+    return _with_graph(a, cliques=cliques)
+
+
+def _widen_axis(a):
+    geom = a.geometry
+    first = min(geom.axis)
+    return _with_geometry(a, axis=geom.axis | {a.graph.neighbors(first)[0]})
+
+
+def _drop_mediator(a):
+    geom = a.geometry
+    return _with_geometry(a, spine=geom.spine - {min(geom.spine - geom.axis)})
+
+
+TAMPERED = {
+    "adjacency_symmetric_irreflexive": (_drop_clique_member, "clique 1 is not the upper covers of one partition of n-1"),
+    "degree_sum": (_drop_vertex_clique, "6,4,2 has cover degree 6, closed form 9"),
+    "conjugation_automorphism": (_swap_conj, "edge (11,1,10,2) breaks under conjugation"),
+    "diagonal_corner_exclusivity": (_unsort_vertex, "7,1,3,1 has both diagonal corner kinds"),
+    "bfs_triangle": (_join_far_clique_to_source, "edge (0,76) jumps 0->11 from v0"),
+    "axis_edgeless": (_widen_axis, "axis vertices 7,2,1,1,1 and 6,2,1,1,1,1 are adjacent"),
+    "spine_membership": (_drop_mediator, "6,3,1,1,1 misclassified for the spine"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHECK_TWINS))
+def test_tampered_input_fails_check_and_twin(name):
+    tamper, detail = TAMPERED[name]
+    a = analyze(12)
+    assert CHECKS[name](a) == (True, "")
+    broken = tamper(a)
+    assert CHECKS[name](broken) == (False, detail)
+    if name == "diagonal_corner_exclusivity":
+        # corners() validates its input, so the twin rejects by raising
+        with pytest.raises(ValueError):
+            CHECK_TWINS[name](broken)
+    else:
+        assert CHECK_TWINS[name](broken)[0] is False

@@ -41,8 +41,24 @@ def test_range_runs_keep_no_analysis_alive(run, tmp_path, monkeypatch):
 @pytest.mark.parametrize("n", [2, 9, 16, 24])
 def test_report_and_geometry_paths_build_no_adjacency_rows(n):
     # Degrees, BFS and mediators read the clique cover; sorted rows are
-    # only for verify and export.
+    # only for export and the n <= 14 clique oracle.
     assert "adjacency" not in vars(pipeline.analyze(n).graph)
     g = build_graph(n)
     central_region(axial_geometry(g), 1)
     assert "adjacency" not in vars(g)
+
+
+@pytest.mark.parametrize("n", range(15, 19))
+def test_verify_checks_build_no_adjacency_rows(n, monkeypatch):
+    # Every check reads the clique cover; only clique_oracle, for n <= 14,
+    # builds rows.
+    seen = []
+
+    def recording_analyze(n):
+        seen.append(pipeline.analyze(n))
+        return seen[-1]
+
+    monkeypatch.setattr(checks, "analyze", recording_analyze)
+    results = checks.run_checks(n)
+    assert [r.name for r in results] == [name for name, *_ in checks._CHECKS]
+    assert "adjacency" not in vars(seen[0].graph)
