@@ -54,9 +54,9 @@ def interaction_graph(
     of mediators N(a) & N(b); non-interacting pairs are absent. Distinct
     axis vertices are never adjacent, so mediators are automatically
     off-axis; an axial mediator raises ValueError rather than being
-    filtered.
+    filtered. N(a) is read off the cliques through a.
     """
-    neighbor_sets = {a: set(g.neighbors(a)) for a in axis}
+    neighbor_sets = {a: {v for k in g.vertex_cliques[a] for v in g.cliques[k]} - {a} for a in axis}
     pairs: dict[AxialPair, frozenset[int]] = {}
     for a, b in combinations(sorted(axis), 2):
         common = neighbor_sets[a] & neighbor_sets[b]

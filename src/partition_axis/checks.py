@@ -20,7 +20,7 @@ from .invariants import (
     DIM_LOC,
     INVARIANTS,
     OMEGA_LOC,
-    ORACLE_DEGREE_LIMIT,
+    OracleInfeasibleError,
     local_clique_number,
     local_clique_number_oracle,
 )
@@ -149,12 +149,12 @@ def _check_conjugation_automorphism(a: GraphAnalysis) -> Outcome:
 
 
 def _transfer_count(parts: Partition) -> int:
-    """Unit transfers out of a partition, the sum of r(v) over its part
-    sizes v (see local_clique_number): each of the k sizes can give to the
-    k other sizes or a new part, less v - 1 (that gives the partition
-    back) when v - 1 is a size or 0, and less v itself when v is a single
-    part. A run is read at its last index, where the part above equals it
-    iff the size repeats."""
+    """Unit transfers out of a partition: the sum over its k part sizes v
+    of r(v) = k + 1 - [v-1 in S+{0}] - [m_v = 1], S the part sizes and m_v
+    the multiplicity of v. Size v gives to the other sizes, a new part,
+    or v itself if it repeats, less v - 1 (a new part for v = 1), which
+    gives the partition back. A run is read at its last index, where the
+    part above equals it iff the size repeats."""
     lost = [
         (below == size - 1) + (above != size)
         for above, size, below in zip((0, *parts), parts, (*parts[1:], 0))
@@ -370,10 +370,11 @@ def _check_radius_bounds(a: GraphAnalysis) -> Outcome:
 def _check_clique_oracle(a: GraphAnalysis) -> Outcome:
     g = a.graph
     for v in range(g.num_vertices):
-        if len(g.adjacency[v]) > ORACLE_DEGREE_LIMIT:
+        try:
+            slow = local_clique_number_oracle(g, v)
+        except OracleInfeasibleError:
             return False, f"vertex {v} exceeds the oracle degree bound"
         fast = local_clique_number(g, v)
-        slow = local_clique_number_oracle(g, v)
         if fast != slow:
             return False, (
                 f"omega_loc disagreement at {format_partition(g.vertices[v])}: "

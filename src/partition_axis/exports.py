@@ -8,6 +8,7 @@ number, and its distances to axis and spine (-1 when undefined).
 from __future__ import annotations
 
 from html import escape
+from itertools import combinations
 from pathlib import Path
 
 from .axial import central_region
@@ -64,12 +65,8 @@ def _vertex_attributes(analysis: GraphAnalysis) -> list[dict[str, object]]:
 
 
 def _edges(analysis: GraphAnalysis) -> list[tuple[int, int]]:
-    return [
-        (u, v)
-        for u, row in enumerate(analysis.graph.adjacency)
-        for v in row
-        if u < v
-    ]
+    # Each edge (u, v), u < v, lies in one ascending clique; sorted, they come in row order.
+    return sorted(p for members in analysis.graph.cliques for p in combinations(members, 2))
 
 
 def render_dot(analysis: GraphAnalysis) -> str:

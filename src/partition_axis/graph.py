@@ -4,8 +4,8 @@ Vertices are all partitions of n in reverse-lexicographic order; two
 vertices are joined when one arises from the other by moving a single
 unit between two distinct parts. The graph is stored as its clique
 cover from Young's lattice (see build_graph): one clique per partition
-of n-1, and for each vertex the cliques through it. Degrees and BFS read
-the cover directly; sorted adjacency rows are built only on request.
+of n-1, and for each vertex the cliques through it. The program reads
+the cover; only the small-n clique oracle asks for sorted adjacency rows.
 Conjugation permutes the vertices and preserves adjacency, so it is
 stored alongside the graph as an index permutation.
 """
@@ -46,15 +46,14 @@ class PartitionGraph:
     def num_edges(self) -> int:
         return sum(len(c) * (len(c) - 1) for c in self.cliques) // 2
 
-    def neighbors(self, u: int) -> tuple[int, ...]:
-        """The neighbours of u, ascending."""
-        cliques = self.cliques
-        return tuple(sorted(v for k in self.vertex_cliques[u] for v in cliques[k] if v != u))
-
     @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
         """Every sorted neighbour row, built on first use and then kept."""
-        return tuple(self.neighbors(u) for u in range(self.num_vertices))
+        cliques = self.cliques
+        return tuple(
+            tuple(sorted(v for k in ks for v in cliques[k] if v != u))
+            for u, ks in enumerate(self.vertex_cliques)
+        )
 
 
 def build_graph(n: int) -> PartitionGraph:

@@ -37,34 +37,28 @@ class InvariantProfile:
 
 
 def local_clique_number(g: PartitionGraph, v: int) -> int:
-    """1 + the clique number of the subgraph induced on N(v), from the
-    distinct parts of lambda = g.vertices[v].
+    """1 + the clique number of the subgraph induced on N(v): the size of
+    the largest clique of the cover through v.
 
     A unit transfer is fixed by its (donor size, receiver size) pair,
     receiver 0 meaning a new part. Two neighbours lambda - e_r + e_s are
     adjacent exactly when they share the donor or the receiver (else they
     differ in four places), so N(v) is an induced subgraph of a rook's
-    graph. In Young's lattice (see build_graph) a donor clique with
-    lambda is the set of k(nu) + 1 upper covers of nu = lambda minus one
-    cell, and a receiver clique with lambda the k(mu) lower covers of
-    mu = lambda plus one cell; k counts distinct parts.
+    graph, and a clique through lambda lies in one donor or one receiver
+    line with lambda. In Young's lattice (see build_graph) donor line r
+    with lambda is the cover clique of nu = lambda minus a cell from the
+    last part r, and receiver line s with lambda is the k(mu) lower
+    covers of mu = lambda plus a cell on the first part s (a new part for
+    s = 0); k counts distinct parts.
 
-    With S the part sizes and m_v the multiplicity of v, donor v in S has
-    r(v) = k + 1 - [v-1 in S+{0}] - [m_v = 1] receivers (v-1 gives lambda
-    back, v needs a second part v); receiver w in S+{0} has
-    d(w) = k - [w+1 in S] - [w in S, m_w = 1] donors. As d(0) <= r(min S)
-    and r(w) - d(w) = 1 - [w-1 in S+{0}] + [w+1 in S] >= 0,
-    omega_loc = 1 + max r: k + 2 less the fewest receivers a donor lacks.
-    Each run is read at its last index, where the part above equals it
-    iff m_v > 1; (1,) scores 1.
+    No receiver line outgrows every donor line. One cell changes k by at
+    most one, so k(nu) + 1 >= k(lambda) >= k(mu) - 1. If
+    k(mu) = k(lambda) + 1, then s + 1 is no part, and s is a repeated
+    part or 0 with 1 no part. Then nu from the last part s, or from the
+    smallest part (at least 2, so it leaves a new size), has
+    k(nu) >= k(lambda). Every vertex lies in k(lambda) >= 1 cliques.
     """
-    parts = g.vertices[v]
-    lost = [
-        (below == size - 1) + (above != size)
-        for above, size, below in zip((0, *parts), parts, (*parts[1:], 0))
-        if size != below
-    ]
-    return len(lost) + 2 - min(lost)
+    return max(len(g.cliques[k]) for k in g.vertex_cliques[v])
 
 
 def local_clique_number_oracle(g: PartitionGraph, v: int) -> int:
@@ -117,8 +111,8 @@ def all_profiles(
 
     A radius is None when a maximizer is unreachable, as for axisless n.
     The clique values are computed once; dim_loc is omega_loc shifted
-    down by one, so it shares omega_loc's argmax and radii. deg is read
-    off the clique cover: the sum of |K| - 1 over the cliques K through v.
+    down by one, so it shares omega_loc's argmax and radii. deg is the
+    sum of |K| - 1 over the cliques K through v, omega_loc the largest |K|.
     """
     omega = _build_profile(
         OMEGA_LOC,

@@ -78,7 +78,7 @@ def _join_far_clique_to_source(a):
 def _widen_axis(a):
     geom = a.geometry
     first = min(geom.axis)
-    return _with_geometry(a, axis=geom.axis | {a.graph.neighbors(first)[0]})
+    return _with_geometry(a, axis=geom.axis | {a.graph.adjacency[first][0]})
 
 
 def _drop_mediator(a):
@@ -95,6 +95,14 @@ TAMPERED = {
     "axis_edgeless": (_widen_axis, "axis vertices 7,2,1,1,1 and 6,2,1,1,1,1 are adjacent"),
     "spine_membership": (_drop_mediator, "6,3,1,1,1 misclassified for the spine"),
 }
+
+
+def test_clique_oracle_names_a_vertex_past_the_degree_bound():
+    # vertex 0 lies in one 27-member clique, so it has 26 neighbours
+    a = analyze(9)
+    vertex_cliques = ((0,),) * 27 + ((),) * (a.graph.num_vertices - 27)
+    broken = _with_graph(a, cliques=(tuple(range(27)),), vertex_cliques=vertex_cliques)
+    assert CHECKS["clique_oracle"](broken) == (False, "vertex 0 exceeds the oracle degree bound")
 
 
 @pytest.mark.parametrize("name", sorted(CHECK_TWINS))

@@ -106,7 +106,7 @@ def test_adjacency_rows_are_built_once_on_request():
     assert "adjacency" not in vars(g)
     rows = g.adjacency
     assert g.adjacency is rows
-    assert rows == tuple(g.neighbors(u) for u in range(g.num_vertices))
+    assert rows == graph_by_brute_force(9)[1]
 
 
 def test_conjugation_automorphism_check_reports_first_broken_edge():

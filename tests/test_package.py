@@ -40,6 +40,24 @@ def test_no_function_calls_itself_in_source():
     assert found == []
 
 
+def test_only_the_clique_oracle_reads_adjacency_rows_in_source():
+    # The program reads G_n through its clique cover. graph.py builds the
+    # sorted rows for the n <= 14 clique oracle in invariants.py alone,
+    # and no module lists one vertex's neighbours.
+    readers, callers = [], []
+    for path in sorted(SOURCE_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Attribute):
+                continue
+            if node.attr == "adjacency" and path.name not in {"graph.py", "invariants.py"}:
+                readers.append(f"{path.name}:{node.lineno}")
+            if node.attr == "neighbors":
+                callers.append(f"{path.name}:{node.lineno}")
+    assert readers == []
+    assert callers == []
+
+
 def test_cli_import_pulls_in_no_network_modules():
     # xml.sax.saxutils imports urllib.request, which loads http.client,
     # email and ssl at every start of the CLI; concurrent.futures'

@@ -40,12 +40,21 @@ def test_range_runs_keep_no_analysis_alive(run, tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("n", [2, 9, 16, 24])
 def test_report_and_geometry_paths_build_no_adjacency_rows(n):
-    # Degrees, BFS and mediators read the clique cover; sorted rows are
-    # only for export and the n <= 14 clique oracle.
+    # Degrees, clique numbers, BFS and mediators read the clique cover;
+    # sorted rows are only for the n <= 14 clique oracle.
     assert "adjacency" not in vars(pipeline.analyze(n).graph)
     g = build_graph(n)
     central_region(axial_geometry(g), 1)
     assert "adjacency" not in vars(g)
+
+
+@pytest.mark.parametrize("n", [2, 9, 16])
+def test_export_renders_build_no_adjacency_rows(n):
+    # Edges are the pairs inside each clique.
+    analysis = pipeline.analyze(n)
+    exports.render_dot(analysis)
+    exports.render_graphml(analysis)
+    assert "adjacency" not in vars(analysis.graph)
 
 
 @pytest.mark.parametrize("n", range(15, 19))
