@@ -24,7 +24,7 @@ from .invariants import (
     local_clique_number,
     local_clique_number_oracle,
 )
-from .partitions import Partition, format_partition
+from .partitions import Partition, conjugate, format_partition
 from .pipeline import GraphAnalysis, analyze
 
 ORACLE_N_LIMIT = 14
@@ -118,10 +118,21 @@ def _check_adjacency_symmetric_irreflexive(a: GraphAnalysis) -> Outcome:
 
 
 def _check_conjugation_involution(a: GraphAnalysis) -> Outcome:
-    conj = a.graph.conj
-    for v in range(a.graph.num_vertices):
-        if conj[conj[v]] != v:
-            return False, f"conj^2 moves {format_partition(a.graph.vertices[v])}"
+    # build_graph reads conj off the cover, so it is also compared with
+    # each partition's transpose, computed from the parts alone; the
+    # identity is an involution and maps every clique onto itself. Both
+    # maps are involutions, so each pair {v, w} is compared once, at v <= w.
+    g = a.graph
+    conj, vertices = g.conj, g.vertices
+    for v, parts in enumerate(vertices):
+        w = conj[v]
+        if conj[w] != v:
+            return False, f"conj^2 moves {format_partition(parts)}"
+        if v <= w and vertices[w] != conjugate(parts):
+            return False, (
+                f"conj maps {format_partition(parts)} to "
+                f"{format_partition(vertices[w])}, not its transpose"
+            )
     return True, ""
 
 

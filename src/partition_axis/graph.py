@@ -7,7 +7,8 @@ cover from Young's lattice (see build_graph): one clique per partition
 of n-1, and for each vertex the cliques through it. The program reads
 the cover; only the small-n clique oracle asks for sorted adjacency rows.
 Conjugation permutes the vertices and preserves adjacency, so it is
-stored alongside the graph as an index permutation.
+stored alongside the graph as an index permutation, read off the cover:
+it maps cliques onto cliques.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
-from .partitions import Partition, conjugate, enumerate_partitions
+from .partitions import Partition, enumerate_partitions
 
 UNREACHABLE = -1
 
@@ -79,26 +80,55 @@ def build_graph(n: int) -> PartitionGraph:
 
     Each nu is visited once, as ``lam[:-1]`` for the vertex ``lam`` that
     ends in 1; ``lam`` is nu's new-part cover, and the others are looked
-    up in the index. A cell added higher up gives a lexicographically
-    larger partition, so each clique comes out in ascending vertex order,
-    and the new-part cover last. The conjugation permutation is found by
-    locating each vertex's conjugate in the index.
+    up in the index, each key built once from a list copy of nu with one
+    entry raised. A cell added higher up gives a lexicographically larger
+    partition, so each clique comes out in ascending vertex order, and
+    the new-part cover last. Clique ids follow nu in reverse-lex order,
+    since appending a 1 keeps lexicographic order.
+
+    Conjugation is read off the cover. Transposition is an involutive
+    automorphism of Young's lattice, so it maps the upper covers of nu
+    onto those of its conjugate nu', and the lower covers of lambda onto
+    those of lambda', and both lists come out reversed:
+
+    - nu's addable cells, by increasing row, have strictly decreasing
+      columns; transposed, they are the addable cells of nu' by
+      decreasing row. A clique lists its members by increasing row of
+      the added cell, so ``cliques[k][m]`` maps to ``cliques[k'][-1 - m]``.
+    - Removing a cell from a higher row of lambda gives a
+      lexicographically smaller nu, hence a larger clique id, so
+      ``vertex_cliques[u]`` lists lambda's removable cells by decreasing
+      row, that is by increasing column. Transposed, those are the
+      removable cells of lambda' by increasing row, so
+      ``vertex_cliques[u][t]`` maps to ``vertex_cliques[conj[u]][-1 - t]``.
+
+    The pass is anchored at conj[0] = p - 1, as (n) and (1^n) are
+    conjugate, and sweeps u upward. Every lambda != (n) has a neighbour
+    of smaller id: a unit moved from its last part onto its first gives
+    a lexicographically larger partition. When that neighbour was swept,
+    every clique through it was mapped, the one holding its edge to u
+    too, so conj[u] is set when u is reached. The second law then names
+    the image of each clique through u not mapped yet, and the first
+    law pairs up the members of the two, both ways. Each clique is
+    mapped once.
     """
     vertices = tuple(enumerate_partitions(n))
     index = {p: i for i, p in enumerate(vertices)}
-    conj = tuple(index[conjugate(p)] for p in vertices)
     cliques = []
     vertex_cliques: list[tuple[int, ...]] = [()] * len(vertices)
     for lam, new_row in index.items():
         if lam[-1] != 1:
             continue
-        nu = lam[:-1]
+        nu = list(lam)
+        del nu[-1]
         k = len(cliques)
         clique = []
         above = 0
         for j, v in enumerate(nu):
             if v != above:
-                u = index[nu[:j] + (v + 1,) + nu[j + 1 :]]
+                nu[j] = v + 1
+                u = index[tuple(nu)]
+                nu[j] = v
                 clique.append(u)
                 vertex_cliques[u] += (k,)
             above = v
@@ -106,10 +136,23 @@ def build_graph(n: int) -> PartitionGraph:
         vertex_cliques[new_row] += (k,)
         cliques.append(tuple(clique))
     del index
+    conj = [0] * len(vertices)
+    conj[0], conj[-1] = len(vertices) - 1, 0
+    mapped = bytearray(len(cliques))
+    for u, ks in enumerate(vertex_cliques):
+        images = vertex_cliques[conj[u]]
+        for t, k in enumerate(ks):
+            if mapped[k]:
+                continue
+            image = images[-1 - t]
+            mapped[k] = mapped[image] = 1
+            for v, w in zip(cliques[k], reversed(cliques[image])):
+                conj[v] = w
+                conj[w] = v
     return PartitionGraph(
         n=n,
         vertices=vertices,
-        conj=conj,
+        conj=tuple(conj),
         cliques=tuple(cliques),
         vertex_cliques=tuple(vertex_cliques),
     )

@@ -7,7 +7,9 @@ index) pair, corners by checking that the cell set stays
 downward-closed, the local clique number by a pivoted branch search
 over adjacency bitsets or by counting transfers per donor and
 receiver, graph distance as half the L1 distance of part vectors, and
-BFS by scanning every adjacency row in full.
+BFS by scanning every adjacency row in full. ``conj_by_lookup`` is the
+exception: it transposes each vertex with the library's ``conjugate``,
+as the slow twin of build_graph reading conj off the clique cover.
 
 The ``*_by_rows`` checks at the end are the row-based forms of verify's
 checks that now read the clique cover; tests compare the two verdicts.
@@ -18,7 +20,7 @@ from __future__ import annotations
 from collections import Counter, deque
 from itertools import zip_longest
 
-from partition_axis import UNREACHABLE, bfs_distances, corners, format_partition
+from partition_axis import UNREACHABLE, bfs_distances, conjugate, corners, format_partition
 from partition_axis.partitions import ADDABLE, REMOVABLE
 
 
@@ -84,6 +86,13 @@ def graph_by_brute_force(n):
     )
     conj = tuple(index[conjugate_by_transposition(p)] for p in vertices)
     return vertices, adjacency, conj
+
+
+def conj_by_lookup(g):
+    """The conjugation permutation of ``g``: each vertex transposed with
+    the library's ``conjugate`` and looked up in a vertex index."""
+    index = {p: i for i, p in enumerate(g.vertices)}
+    return tuple(index[conjugate(p)] for p in g.vertices)
 
 
 def is_downward_closed(cell_set):

@@ -97,6 +97,18 @@ TAMPERED = {
 }
 
 
+def test_identity_conj_fails_only_against_the_transpose():
+    # The identity is an involution and maps every clique onto itself, so
+    # only the comparison with each partition's transpose rejects it.
+    a = analyze(12)
+    broken = _with_graph(a, conj=tuple(range(a.graph.num_vertices)))
+    assert CHECKS["conjugation_involution"](a) == (True, "")
+    assert CHECKS["conjugation_automorphism"](broken) == (True, "")
+    assert CHECKS["conjugation_involution"](broken) == (
+        False, "conj maps 12 to 12, not its transpose"
+    )
+
+
 def test_clique_oracle_names_a_vertex_past_the_degree_bound():
     # vertex 0 lies in one 27-member clique, so it has 26 neighbours
     a = analyze(9)

@@ -9,6 +9,7 @@ from partition_axis.invariants import DEG
 from memo import analyze
 from oracles import (
     bfs_distances_by_rows,
+    conj_by_lookup,
     graph_by_brute_force,
     naive_transfer_neighbors,
     partitions_by_growth,
@@ -135,6 +136,30 @@ def test_conj_is_involutive_automorphism():
         for u, row in enumerate(g.adjacency):
             for v in row:
                 assert g.conj[v] in neighbor_sets[g.conj[u]]
+
+
+@pytest.mark.parametrize("n", [*range(1, 31), 35])
+def test_conj_equals_per_vertex_lookup(n):
+    g = build_graph(n)
+    assert g.conj == conj_by_lookup(g)
+
+
+@pytest.mark.parametrize("n", range(1, 21))
+def test_conjugation_reverses_clique_members_and_vertex_cliques(n):
+    # Transposition maps the clique of nu onto that of its conjugate nu'
+    # with the members in reverse order, and the cliques through lambda
+    # onto those through lambda' in reverse order; build_graph reads conj
+    # off the cover by these two laws.
+    g = build_graph(n)
+    conj = conj_by_lookup(g)
+    clique_ids = {frozenset(members): k for k, members in enumerate(g.cliques)}
+    images = []
+    for members in g.cliques:
+        image = clique_ids[frozenset(conj[v] for v in members)]
+        assert g.cliques[image] == tuple(conj[v] for v in reversed(members))
+        images.append(image)
+    for u, ks in enumerate(g.vertex_cliques):
+        assert g.vertex_cliques[conj[u]] == tuple(images[k] for k in reversed(ks))
 
 
 def test_max_degree_n10():

@@ -40,6 +40,15 @@ def test_no_function_calls_itself_in_source():
     assert found == []
 
 
+def test_graph_reads_conjugation_off_the_cover_in_source():
+    # build_graph maps cliques onto cliques instead of transposing each
+    # vertex; the benchmark tracer wraps graph.enumerate_partitions.
+    tree = ast.parse((SOURCE_DIR / "graph.py").read_text())
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert "conjugate" not in imported
+    assert "enumerate_partitions" in imported
+
+
 def test_only_the_clique_oracle_reads_adjacency_rows_in_source():
     # The program reads G_n through its clique cover. graph.py builds the
     # sorted rows for the n <= 14 clique oracle in invariants.py alone,
