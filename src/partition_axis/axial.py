@@ -26,7 +26,6 @@ class AxialGeometry:
     empty and every distance is UNREACHABLE.
     """
 
-    n: int
     axis: frozenset[int]
     mediators: dict[AxialPair, frozenset[int]]
     spine: frozenset[int]
@@ -91,7 +90,6 @@ def axial_geometry(g: PartitionGraph) -> AxialGeometry:
     ax_dist = tuple(bfs_distances(g, axis))
     sp_dist = tuple(bfs_distances(g, spine))
     return AxialGeometry(
-        n=g.n,
         axis=axis,
         mediators=mediators,
         spine=spine,

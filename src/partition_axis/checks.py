@@ -210,11 +210,13 @@ def _check_diagonal_corner_exclusivity(a: GraphAnalysis) -> Outcome:
 
 def _check_bfs_triangle(a: GraphAnalysis) -> Outcome:
     # Over each clique the reachable distances differ by at most 1; every
-    # edge lies in exactly one clique, so no edge jumps a BFS layer.
+    # edge lies in exactly one clique, so no edge jumps a BFS layer. The
+    # axis and spine distances are the recorded ones that report and
+    # export print; the distances from (n) come from a fresh BFS.
     g = a.graph
-    source_sets = {"v0": [0], "axis": a.geometry.axis, "spine": a.geometry.spine}
-    for tag, sources in source_sets.items():
-        dist = bfs_distances(g, sources)
+    geom = a.geometry
+    distances = {"v0": bfs_distances(g, [0]), "axis": geom.ax_dist, "spine": geom.sp_dist}
+    for tag, dist in distances.items():
         for members in g.cliques:
             spread = [dist[v] for v in members]
             if max(spread) - min(spread) <= 1:

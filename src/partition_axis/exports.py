@@ -11,7 +11,6 @@ from html import escape
 from itertools import combinations
 from pathlib import Path
 
-from .axial import central_region
 from .invariants import DEG, OMEGA_LOC
 from .partitions import format_partition
 from .pipeline import GraphAnalysis, analyze
@@ -21,47 +20,47 @@ CLASS_AXIS = "axis"
 CLASS_SPINE_OFF_AXIS = "spine_off_axis"
 CLASS_CENTRAL_OFF_SPINE = "central_off_spine"
 CLASS_OUTER = "outer"
-VERTEX_CLASSES = (CLASS_AXIS, CLASS_SPINE_OFF_AXIS, CLASS_CENTRAL_OFF_SPINE, CLASS_OUTER)
 
 FORMATS = ("dot", "graphml")
 
+# (GraphML key id, attribute name, GraphML type) of each vertex attribute,
+# in output order; DOT quotes the string ones.
+_NODE_KEYS = (
+    ("d_label", "label", "string"),
+    ("d_class", "class", "string"),
+    ("d_deg", "deg", "int"),
+    ("d_omega", "omega_loc", "int"),
+    ("d_axdist", "ax_dist", "int"),
+    ("d_spdist", "sp_dist", "int"),
+)
+
 
 def vertex_classes(analysis: GraphAnalysis) -> list[str]:
-    """Partition of the vertex set: axis, spine off axis, first central
-    shell off spine, and everything else. All outer for axisless n."""
+    """Partition of the vertex set by distance: the axis (ax_dist 0), the
+    spine off the axis (sp_dist 0), the rest of the narrow central region
+    (ax_dist 1), and everything else. UNREACHABLE (-1) passes no test, so
+    axisless n is all outer."""
     geom = analysis.geometry
-    narrow = central_region(geom, 1)
-    classes = []
-    for v in range(analysis.graph.num_vertices):
-        if v in geom.axis:
-            classes.append(CLASS_AXIS)
-        elif v in geom.spine:
-            classes.append(CLASS_SPINE_OFF_AXIS)
-        elif v in narrow:
-            classes.append(CLASS_CENTRAL_OFF_SPINE)
-        else:
-            classes.append(CLASS_OUTER)
-    return classes
+    return [
+        CLASS_AXIS if ax == 0
+        else CLASS_SPINE_OFF_AXIS if sp == 0
+        else CLASS_CENTRAL_OFF_SPINE if ax == 1
+        else CLASS_OUTER
+        for ax, sp in zip(geom.ax_dist, geom.sp_dist)
+    ]
 
 
-def _vertex_attributes(analysis: GraphAnalysis) -> list[dict[str, object]]:
+def _node_rows(analysis: GraphAnalysis):
+    """Each vertex's attribute values, in _NODE_KEYS order."""
     geom = analysis.geometry
-    classes = vertex_classes(analysis)
-    deg = analysis.profiles[DEG].values
-    omega = analysis.profiles[OMEGA_LOC].values
-    rows = []
-    for v, parts in enumerate(analysis.graph.vertices):
-        rows.append(
-            {
-                "label": format_partition(parts),
-                "class": classes[v],
-                "deg": deg[v],
-                "omega_loc": omega[v],
-                "ax_dist": geom.ax_dist[v],
-                "sp_dist": geom.sp_dist[v],
-            }
-        )
-    return rows
+    return zip(
+        map(format_partition, analysis.graph.vertices),
+        vertex_classes(analysis),
+        analysis.profiles[DEG].values,
+        analysis.profiles[OMEGA_LOC].values,
+        geom.ax_dist,
+        geom.sp_dist,
+    )
 
 
 def _edges(analysis: GraphAnalysis) -> list[tuple[int, int]]:
@@ -73,48 +72,33 @@ def render_dot(analysis: GraphAnalysis) -> str:
     lines = [f"graph g{analysis.n} {{"]
     if not analysis.geometry.is_axial:
         lines.append('  graph [axisless="true"];')
-    for v, attrs in enumerate(_vertex_attributes(analysis)):
-        lines.append(
-            f'  v{v} [label="{attrs["label"]}", class="{attrs["class"]}", '
-            f'deg={attrs["deg"]}, omega_loc={attrs["omega_loc"]}, '
-            f'ax_dist={attrs["ax_dist"]}, sp_dist={attrs["sp_dist"]}];'
+    for v, row in enumerate(_node_rows(analysis)):
+        attrs = ", ".join(
+            f'{name}="{x}"' if typ == "string" else f"{name}={x}"
+            for (_, name, typ), x in zip(_NODE_KEYS, row)
         )
+        lines.append(f"  v{v} [{attrs}];")
     for u, v in _edges(analysis):
         lines.append(f"  v{u} -- v{v};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
-_GRAPHML_KEYS = [
-    ("d_axisless", "graph", "axisless", "boolean"),
-    ("d_label", "node", "label", "string"),
-    ("d_class", "node", "class", "string"),
-    ("d_deg", "node", "deg", "int"),
-    ("d_omega", "node", "omega_loc", "int"),
-    ("d_axdist", "node", "ax_dist", "int"),
-    ("d_spdist", "node", "sp_dist", "int"),
-]
-
-_NODE_KEY_IDS = {name: key_id for key_id, domain, name, _ in _GRAPHML_KEYS if domain == "node"}
-
-
 def render_graphml(analysis: GraphAnalysis) -> str:
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         '<graphml xmlns="http://graphml.graphdrawing.org/xmlns">',
+        '  <key id="d_axisless" for="graph" attr.name="axisless" attr.type="boolean"/>',
     ]
-    for key_id, domain, name, typ in _GRAPHML_KEYS:
-        lines.append(
-            f'  <key id="{key_id}" for="{domain}" '
-            f'attr.name="{name}" attr.type="{typ}"/>'
-        )
+    for key_id, name, typ in _NODE_KEYS:
+        lines.append(f'  <key id="{key_id}" for="node" attr.name="{name}" attr.type="{typ}"/>')
     lines.append(f'  <graph id="g{analysis.n}" edgedefault="undirected">')
     if not analysis.geometry.is_axial:
         lines.append('    <data key="d_axisless">true</data>')
-    for v, attrs in enumerate(_vertex_attributes(analysis)):
+    for v, row in enumerate(_node_rows(analysis)):
         lines.append(f'    <node id="v{v}">')
-        for name, key_id in _NODE_KEY_IDS.items():
-            lines.append(f'      <data key="{key_id}">{escape(str(attrs[name]), quote=False)}</data>')
+        for (key_id, _, _), x in zip(_NODE_KEYS, row):
+            lines.append(f'      <data key="{key_id}">{escape(str(x), quote=False)}</data>')
         lines.append("    </node>")
     for i, (u, v) in enumerate(_edges(analysis)):
         lines.append(f'    <edge id="e{i}" source="v{u}" target="v{v}"/>')

@@ -28,7 +28,6 @@ class OracleInfeasibleError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class InvariantProfile:
-    invariant_id: str
     values: tuple[int, ...]
     max_value: int
     argmax: frozenset[int]
@@ -94,14 +93,12 @@ def _enclosing_radius(argmax: frozenset[int], dist: tuple[int, ...]) -> int | No
     return None if UNREACHABLE in distances else max(distances)
 
 
-def _build_profile(
-    invariant_id: str, values: tuple[int, ...], geometry: AxialGeometry
-) -> InvariantProfile:
+def _build_profile(values: tuple[int, ...], geometry: AxialGeometry) -> InvariantProfile:
     max_value = max(values)
     argmax = frozenset(v for v, x in enumerate(values) if x == max_value)
     rho_ax = _enclosing_radius(argmax, geometry.ax_dist)
     rho_sp = _enclosing_radius(argmax, geometry.sp_dist)
-    return InvariantProfile(invariant_id, values, max_value, argmax, rho_ax, rho_sp)
+    return InvariantProfile(values, max_value, argmax, rho_ax, rho_sp)
 
 
 def all_profiles(
@@ -114,19 +111,14 @@ def all_profiles(
     down by one, so it shares omega_loc's argmax and radii. deg is the
     sum of |K| - 1 over the cliques K through v, omega_loc the largest |K|.
     """
-    omega = _build_profile(
-        OMEGA_LOC,
-        tuple(local_clique_number(g, v) for v in range(g.num_vertices)),
-        geometry,
-    )
+    omega = _build_profile(tuple(local_clique_number(g, v) for v in range(g.num_vertices)), geometry)
     cliques = g.cliques
     deg = tuple(sum(len(cliques[k]) - 1 for k in ks) for ks in g.vertex_cliques)
     return {
-        DEG: _build_profile(DEG, deg, geometry),
+        DEG: _build_profile(deg, geometry),
         OMEGA_LOC: omega,
         DIM_LOC: replace(
             omega,
-            invariant_id=DIM_LOC,
             values=tuple(x - 1 for x in omega.values),
             max_value=omega.max_value - 1,
         ),

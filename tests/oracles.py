@@ -6,10 +6,12 @@ an explicit cell set, transfers by trying every (donor index, receiver
 index) pair, corners by checking that the cell set stays
 downward-closed, the local clique number by a pivoted branch search
 over adjacency bitsets or by counting transfers per donor and
-receiver, graph distance as half the L1 distance of part vectors, and
-BFS by scanning every adjacency row in full. ``conj_by_lookup`` is the
-exception: it transposes each vertex with the library's ``conjugate``,
-as the slow twin of build_graph reading conj off the clique cover.
+receiver, graph distance as half the L1 distance of part vectors, BFS
+by scanning every adjacency row in full, and the export classes by
+membership in the axis, spine and radius-1 ball. ``conj_by_lookup`` is
+the exception: it transposes each vertex with the library's
+``conjugate``, as the slow twin of build_graph reading conj off the
+clique cover.
 
 The ``*_by_rows`` checks at the end are the row-based forms of verify's
 checks that now read the clique cover; tests compare the two verdicts.
@@ -20,7 +22,14 @@ from __future__ import annotations
 from collections import Counter, deque
 from itertools import zip_longest
 
-from partition_axis import UNREACHABLE, bfs_distances, conjugate, corners, format_partition
+from partition_axis import (
+    UNREACHABLE,
+    bfs_distances,
+    central_region,
+    conjugate,
+    corners,
+    format_partition,
+)
 from partition_axis.partitions import ADDABLE, REMOVABLE
 
 
@@ -256,9 +265,9 @@ def diagonal_corner_exclusivity_by_corners(a):
 
 def bfs_triangle_by_rows(a):
     g = a.graph
-    source_sets = {"v0": [0], "axis": a.geometry.axis, "spine": a.geometry.spine}
-    for tag, sources in source_sets.items():
-        dist = bfs_distances(g, sources)
+    geom = a.geometry
+    distances = {"v0": bfs_distances(g, [0]), "axis": geom.ax_dist, "spine": geom.sp_dist}
+    for tag, dist in distances.items():
         for u, row in enumerate(g.adjacency):
             for v in row:
                 if dist[u] != UNREACHABLE and dist[v] != UNREACHABLE and abs(dist[u] - dist[v]) > 1:
@@ -289,6 +298,24 @@ def spine_membership_by_rows(a):
         if bridging != (v in geom.spine):
             return False, f"{format_partition(a.graph.vertices[v])} misclassified for the spine"
     return True, ""
+
+
+def vertex_classes_by_membership(a):
+    """Export classes by set membership: the axis, the spine, the ball
+    C^(1) of radius 1 around the axis, and the rest."""
+    geom = a.geometry
+    narrow = central_region(geom, 1)
+    classes = []
+    for v in range(a.graph.num_vertices):
+        if v in geom.axis:
+            classes.append("axis")
+        elif v in geom.spine:
+            classes.append("spine_off_axis")
+        elif v in narrow:
+            classes.append("central_off_spine")
+        else:
+            classes.append("outer")
+    return classes
 
 
 # verify's check name -> its row-based (or corners()-based) twin

@@ -109,6 +109,21 @@ def test_identity_conj_fails_only_against_the_transpose():
     )
 
 
+def test_bfs_triangle_reads_the_recorded_distances():
+    # (12) and (1^12) record axis and spine distances 2 above what BFS
+    # gives; these are the arrays report and export print, so a check
+    # that ran its own BFS from the axis and the spine would pass them.
+    a = analyze(12)
+    ends = {0, a.graph.vertices.index((1,) * 12)}
+    raised = {
+        field: tuple(d + 2 if v in ends else d for v, d in enumerate(getattr(a.geometry, field)))
+        for field in ("ax_dist", "sp_dist")
+    }
+    broken = _with_geometry(a, **raised)
+    assert CHECKS["bfs_triangle"](broken) == (False, "edge (1,0) jumps 5->8 from axis")
+    assert CHECK_TWINS["bfs_triangle"](broken)[0] is False
+
+
 def test_clique_oracle_names_a_vertex_past_the_degree_bound():
     # vertex 0 lies in one 27-member clique, so it has 26 neighbours
     a = analyze(9)

@@ -1,9 +1,13 @@
+import ast
+import hashlib
 import os
 import xml.etree.ElementTree as ET
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
+from partition_axis import exports
 from partition_axis.exports import (
     CLASS_AXIS,
     CLASS_CENTRAL_OFF_SPINE,
@@ -16,6 +20,7 @@ from partition_axis.exports import (
 )
 
 from memo import analyze
+from oracles import vertex_classes_by_membership
 
 GRAPHML_NS = "{http://graphml.graphdrawing.org/xmlns}"
 
@@ -45,6 +50,39 @@ class TestVertexClasses:
 
     def test_axisless_all_outer(self):
         assert vertex_classes(analyze(2)) == [CLASS_OUTER, CLASS_OUTER]
+
+    def test_distances_agree_with_set_membership_through_n20(self):
+        # n = 2 is axisless: every distance is UNREACHABLE.
+        for n in range(1, 21):
+            a = analyze(n)
+            assert vertex_classes(a) == vertex_classes_by_membership(a), n
+
+
+# sha256 of the rendered files as written when the classes were read off
+# the axis, spine and C^(1) sets; reading them off the distances keeps
+# every byte.
+PINNED_SHA256 = {
+    (2, "dot"): "c1f32ab750fb838a2eec309686bb4bd37dc1ceb52619d2bf994d7d5468d56c1b",
+    (2, "graphml"): "0ecc391c7b60a97164bb3df29fe479fade13bdd513a57f74e9f38a5d7c955e7a",
+    (9, "dot"): "47b560a45010cd673e8097a1163c70a23f8b4e6387f2916878ac725a42045cd1",
+    (9, "graphml"): "c5d110c2fdf2cd4375d61f417544406915118b582b7302f75d71eb8e240ae141",
+    (16, "dot"): "1a2a761cf08c445371276d742025d7834d6d99a6287fd4e697958d791509c2fb",
+    (16, "graphml"): "b1a83a17d3f6fcfc7e942eec82ef7b3f177c66566514d1cc1dd0cc11a91cab80",
+}
+
+
+@pytest.mark.parametrize("n, fmt", sorted(PINNED_SHA256))
+def test_rendered_bytes_are_pinned(n, fmt):
+    render = render_dot if fmt == "dot" else render_graphml
+    digest = hashlib.sha256(render(analyze(n)).encode()).hexdigest()
+    assert digest == PINNED_SHA256[n, fmt]
+
+
+def test_exports_import_nothing_from_axial_in_source():
+    # Every vertex class is a condition on the recorded distances.
+    tree = ast.parse(Path(exports.__file__).read_text())
+    modules = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert "axial" not in modules
 
 
 class TestDot:

@@ -1,10 +1,13 @@
 import ast
+import importlib
+import importlib.util
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import partition_axis
+from partition_axis import checks
 
 SOURCE_DIR = Path(partition_axis.__file__).parent
 
@@ -86,3 +89,20 @@ def test_cli_import_pulls_in_no_network_modules():
         check=True,
     ).stdout
     assert out == "[]\n"
+
+
+def test_bench_tracer_targets_exist():
+    # A traced benchmark job wraps each WRAPS entry and each named check,
+    # and raises TraceTargetMissing if one is gone. The module is only
+    # loaded here: install() would replace the library's functions.
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = [
+        f"{module}.{attr}"
+        for module, attr, *_ in tracer.WRAPS
+        if not callable(getattr(importlib.import_module(module), attr, None))
+    ]
+    assert missing == []
+    assert set(tracer.CHECK_NAMES) <= {name for name, *_ in checks._CHECKS}
