@@ -20,21 +20,11 @@ from .invariants import (
     local_clique_number,
     local_clique_number_oracle,
 )
-from .partitions import (
-    Corner,
-    Partition,
-    conjugate,
-    corners,
-    enumerate_partitions,
-    format_partition,
-    is_self_conjugate,
-    transfer_neighbors,
-)
+from .partitions import Partition, conjugate, enumerate_partitions, format_partition
 from .pipeline import GraphAnalysis, analyze
 
 __all__ = [
     "AxialGeometry",
-    "Corner",
     "GraphAnalysis",
     "INVARIANTS",
     "InvariantProfile",
@@ -51,13 +41,10 @@ __all__ = [
     "compute_axis",
     "compute_spine",
     "conjugate",
-    "corners",
     "enumerate_partitions",
     "format_partition",
     "interaction_graph",
-    "is_self_conjugate",
     "local_clique_number",
     "local_clique_number_oracle",
     "thick_spine",
-    "transfer_neighbors",
 ]

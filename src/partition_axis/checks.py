@@ -9,6 +9,7 @@ rows: only clique_oracle, for small n, builds rows.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from operator import lt
 from typing import Callable
@@ -209,23 +210,41 @@ def _check_diagonal_corner_exclusivity(a: GraphAnalysis) -> Outcome:
 
 
 def _check_bfs_triangle(a: GraphAnalysis) -> Outcome:
-    # Over each clique the reachable distances differ by at most 1; every
-    # edge lies in exactly one clique, so no edge jumps a BFS layer. The
-    # axis and spine distances are the recorded ones that report and
-    # export print; the distances from (n) come from a fresh BFS.
+    # Each array f is the BFS distance d from its sources S. f = 0 on S
+    # alone. No clique mixes reached and unreached vertices, so f reaches
+    # whole components. Over each clique f spreads by at most 1, and every
+    # edge lies in one clique, so f <= d. Every f(v) > 0 has a clique-mate
+    # at f(v) - 1, so a path steps down from v to S and f >= d. The axis
+    # and spine distances are the recorded ones that report and export
+    # print; the distances from (n) come from a fresh BFS.
     g = a.graph
     geom = a.geometry
-    distances = {"v0": bfs_distances(g, [0]), "axis": geom.ax_dist, "spine": geom.sp_dist}
-    for tag, dist in distances.items():
+    distances = (
+        ("v0", bfs_distances(g, [0]), {0}),
+        ("axis", geom.ax_dist, geom.axis),
+        ("spine", geom.sp_dist, geom.spine),
+    )
+    for tag, dist, sources in distances:
+        if dist.count(0) != len(sources) or any(dist[s] for s in sources):
+            v = next(v for v, d in enumerate(dist) if (d == 0) != (v in sources))
+            return False, f"vertex {v} at distance {dist[v]} from {tag} is {'a' if v in sources else 'no'} source"
+        stepped = bytearray(len(dist))  # v has a clique-mate at dist[v] - 1
         for members in g.cliques:
             spread = [dist[v] for v in members]
-            if max(spread) - min(spread) <= 1:
+            lo, hi = min(spread), max(spread)
+            if lo == hi:
                 continue
-            reached = [v for v in members if dist[v] != UNREACHABLE]
-            u = min(reached, key=dist.__getitem__)
-            v = max(reached, key=dist.__getitem__)
-            if dist[v] - dist[u] > 1:
-                return False, f"edge ({u},{v}) jumps {dist[u]}->{dist[v]} from {tag}"
+            if lo == UNREACHABLE or hi - lo > 1:
+                u, v = members[spread.index(lo)], members[spread.index(hi)]
+                if lo == UNREACHABLE:
+                    return False, f"edge ({v},{u}) leaves the vertices reached from {tag}"
+                return False, f"edge ({u},{v}) jumps {lo}->{hi} from {tag}"
+            for v, d in zip(members, spread):
+                if d == hi:
+                    stepped[v] = 1
+        for v, d in enumerate(dist):
+            if d > 0 and not stepped[v]:
+                return False, f"vertex {v} at distance {d} from {tag} has no neighbour at {d - 1}"
     return True, ""
 
 
@@ -315,6 +334,14 @@ def _check_shell_sums(a: GraphAnalysis) -> Outcome:
         return False, "shell 0 differs from the axis size"
     if geom.sp_shells[0] != len(geom.spine):
         return False, "spinal shell 0 differs from the spine size"
+    # Each shell tuple is the histogram of its distance array.
+    for tag, shells, dist in (("axial", geom.ax_shells, geom.ax_dist), ("spinal", geom.sp_shells, geom.sp_dist)):
+        if len(shells) != max(dist) + 1:
+            return False, f"{tag} shells end at {len(shells) - 1}, the distances at {max(dist)}"
+        counts = Counter(dist)
+        for r, shell in enumerate(shells):
+            if shell != counts[r]:
+                return False, f"{tag} shell {r} is {shell}, but {counts[r]} vertices lie at distance {r}"
     return True, ""
 
 

@@ -11,7 +11,7 @@ from partition_axis import (
 )
 
 from memo import analyze
-from oracles import l1_distance_to_set
+from oracles import conjugate_by_transposition, l1_distance_to_set
 
 
 def names(analysis, ids):
@@ -23,6 +23,10 @@ class TestAxis:
         a = analyze(2)
         assert compute_axis(a.graph) == frozenset()
         assert not a.geometry.is_axial
+
+    def test_n6_staircase_is_the_only_fixed_point(self):
+        a = analyze(6)
+        assert names(a, a.geometry.axis) == [(3, 2, 1)]
 
     def test_n8_two_fixed_points(self):
         a = analyze(8)
@@ -37,6 +41,8 @@ class TestAxis:
             g = a.graph
             expected = {v for v in range(g.num_vertices) if g.conj[v] == v}
             assert a.geometry.axis == expected
+            transposed = {v for v, p in enumerate(g.vertices) if conjugate_by_transposition(p) == p}
+            assert a.geometry.axis == transposed
 
 
 class TestInteractionGraph:

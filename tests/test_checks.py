@@ -1,15 +1,20 @@
 """verify's cover-reading checks and its diagonal-corner check against
-their twins.
+their twins, and the checks on the recorded distance arrays.
 
 oracles.CHECK_TWINS holds each check's earlier form: it reads adjacency
-rows or, for the corner check, calls `corners()`. On real analyses both
-forms give the same verdict, and both reject each tampered input.
+rows or, for the corner check, the cell set's removable and addable
+cells. On real analyses both forms give the same verdict, and both
+reject each tampered input. bfs_triangle pins each recorded distance
+array from above and from below, and shell_sums pins each shell tuple
+to its array's histogram.
 """
 
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 
+from partition_axis import UNREACHABLE
 from partition_axis.checks import _CHECKS
 
 from memo import analyze
@@ -124,6 +129,56 @@ def test_bfs_triangle_reads_the_recorded_distances():
     assert CHECK_TWINS["bfs_triangle"](broken)[0] is False
 
 
+def test_bfs_triangle_pins_the_distances_from_below():
+    # (12) and (1^12) record axis and spine distances 1 below what BFS
+    # gives, and the shells follow the arrays. The arrays still step by at
+    # most 1 along every edge, so only the step down towards the sources
+    # rejects them.
+    a = analyze(12)
+    ends = {0, a.graph.vertices.index((1,) * 12)}
+    lowered = {}
+    for dist_field, shells_field in (("ax_dist", "ax_shells"), ("sp_dist", "sp_shells")):
+        dist = tuple(d - 1 if v in ends else d for v, d in enumerate(getattr(a.geometry, dist_field)))
+        counts = Counter(dist)
+        lowered[dist_field] = dist
+        lowered[shells_field] = tuple(counts[r] for r in range(max(dist) + 1))
+    broken = _with_geometry(a, **lowered)
+    assert CHECKS["bfs_triangle"](broken) == (
+        False, "vertex 0 at distance 5 from axis has no neighbour at 4"
+    )
+    assert CHECK_TWINS["bfs_triangle"](broken)[0] is False
+    assert [name for name, fn in CHECKS.items() if not fn(broken)[0]] == ["bfs_triangle"]
+
+
+def test_bfs_triangle_rejects_a_clique_of_reached_and_unreached_vertices():
+    # (1^12) is recorded as unreached from the axis, beside (2,1^10) at 5
+    a = analyze(12)
+    last = a.graph.num_vertices - 1
+    ax_dist = a.geometry.ax_dist[:last] + (UNREACHABLE,)
+    broken = _with_geometry(a, ax_dist=ax_dist)
+    assert CHECKS["bfs_triangle"](broken) == (False, "edge (75,76) leaves the vertices reached from axis")
+    assert CHECK_TWINS["bfs_triangle"](broken)[0] is False
+
+
+def test_bfs_triangle_pins_distance_0_to_the_sources():
+    # the axis gains a neighbour of an axis vertex, recorded at distance 1
+    broken = _widen_axis(analyze(12))
+    assert CHECKS["bfs_triangle"](broken) == (False, "vertex 17 at distance 1 from axis is a source")
+    assert CHECK_TWINS["bfs_triangle"](broken)[0] is False
+
+
+def test_shell_sums_compares_the_shells_with_the_distances():
+    # One vertex moves from axial shell 1 to shell 2: the sums and shell
+    # 0 still hold, and no other check reads the shells past shell 0.
+    a = analyze(12)
+    assert a.geometry.ax_shells == (3, 20, 26, 12, 12, 2, 2)
+    broken = _with_geometry(a, ax_shells=(3, 19, 27, 12, 12, 2, 2))
+    assert CHECKS["shell_sums"](broken) == (
+        False, "axial shell 1 is 19, but 20 vertices lie at distance 1"
+    )
+    assert [name for name, fn in CHECKS.items() if not fn(broken)[0]] == ["shell_sums"]
+
+
 def test_clique_oracle_names_a_vertex_past_the_degree_bound():
     # vertex 0 lies in one 27-member clique, so it has 26 neighbours
     a = analyze(9)
@@ -139,9 +194,4 @@ def test_tampered_input_fails_check_and_twin(name):
     assert CHECKS[name](a) == (True, "")
     broken = tamper(a)
     assert CHECKS[name](broken) == (False, detail)
-    if name == "diagonal_corner_exclusivity":
-        # corners() validates its input, so the twin rejects by raising
-        with pytest.raises(ValueError):
-            CHECK_TWINS[name](broken)
-    else:
-        assert CHECK_TWINS[name](broken)[0] is False
+    assert CHECK_TWINS[name](broken)[0] is False

