@@ -1,6 +1,7 @@
 """The transfer graph on partitions of n.
 
-Vertices are all partitions of n in reverse-lexicographic order; two
+Vertices are all partitions of n in reverse-lexicographic order, which
+for the bytes form of a Partition is descending byte order; two
 vertices are joined when one arises from the other by moving a single
 unit between two distinct parts. The graph is stored as its clique
 cover from Young's lattice (see build_graph): one clique per partition
@@ -80,8 +81,8 @@ def build_graph(n: int) -> PartitionGraph:
 
     Each nu is visited once, as ``lam[:-1]`` for the vertex ``lam`` that
     ends in 1; ``lam`` is nu's new-part cover, and the others are looked
-    up in the index, each key built once from a list copy of nu with one
-    entry raised. A cell added higher up gives a lexicographically larger
+    up in the index, each key built once from a bytearray copy of nu with
+    one entry raised. A cell added higher up gives a lexicographically larger
     partition, so each clique comes out in ascending vertex order, and
     the new-part cover last. Clique ids follow nu in reverse-lex order,
     since appending a 1 keeps lexicographic order.
@@ -119,7 +120,7 @@ def build_graph(n: int) -> PartitionGraph:
     for lam, new_row in index.items():
         if lam[-1] != 1:
             continue
-        nu = list(lam)
+        nu = bytearray(lam)
         del nu[-1]
         k = len(cliques)
         clique = []
@@ -127,7 +128,7 @@ def build_graph(n: int) -> PartitionGraph:
         for j, v in enumerate(nu):
             if v != above:
                 nu[j] = v + 1
-                u = index[tuple(nu)]
+                u = index[bytes(nu)]
                 nu[j] = v
                 clique.append(u)
                 vertex_cliques[u] += (k,)

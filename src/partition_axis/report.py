@@ -11,6 +11,8 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import resource
+import sys
 import time
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
@@ -163,6 +165,14 @@ def _write_atomic(path: Path, data: bytes) -> None:
         raise
 
 
+def _peak_rss_mib() -> float:
+    """Largest resident set of this process or of any child it has
+    waited for (pool workers), in MiB."""
+    maxrss = max(resource.getrusage(who).ru_maxrss for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
+    # ru_maxrss is in KiB on Linux and in bytes on macOS.
+    return round(maxrss / (1024 * 1024 if sys.platform == "darwin" else 1024), 3)
+
+
 def run_range(n_min: int, n_max: int, out_dir: Path, threads: int = 1) -> list[Path]:
     """Emit basic_axial.csv, extremal_location.csv, shells.csv and
     manifest.json under out_dir; returns the written paths.
@@ -192,6 +202,7 @@ def run_range(n_min: int, n_max: int, out_dir: Path, threads: int = 1) -> list[P
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "version": __version__,
         "per_n_seconds": {str(s.n): round(s.seconds, 6) for s in summaries},
+        "peak_rss_mib": _peak_rss_mib(),
         "files": {name: _sha256(data) for name, data in contents.items()},
     }
     manifest_path = out_dir / "manifest.json"

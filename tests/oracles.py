@@ -17,6 +17,11 @@ the exception: it transposes each vertex with the library's
 ``conjugate``, as the slow twin of build_graph reading conj off the
 clique cover.
 
+Partitions here are tuples of ints, while the library's vertices are
+bytes, one byte per part; both iterate and index as ints, so an oracle
+accepts either, and tests decode with ``tuple(v)`` or encode with
+``bytes(...)`` where they compare the two.
+
 The ``*_by_rows`` checks at the end are the row-based forms of verify's
 checks that now read the clique cover, and
 ``diagonal_corner_exclusivity_by_cells`` reads the diagonal corners off
@@ -30,7 +35,6 @@ from itertools import zip_longest
 
 from partition_axis import (
     UNREACHABLE,
-    Partition,
     bfs_distances,
     central_region,
     conjugate,
@@ -70,7 +74,7 @@ def naive_transfer_neighbors(parts):
     return out
 
 
-def transfer_neighbors(parts: Partition) -> set[Partition]:
+def transfer_neighbors(parts) -> set[tuple[int, ...]]:
     """Partitions reachable by moving one unit between two distinct parts.
 
     One part shrinks by 1 (vanishing if it was 1) and a different part or
@@ -93,7 +97,7 @@ def transfer_neighbors(parts: Partition) -> set[Partition]:
             runs.append((parts[first], first, k - 1))
             first = k
     receivers = runs + [(0, ell, ell)]
-    out: set[Partition] = set()
+    out: set[tuple[int, ...]] = set()
     for v, _, i in runs:
         for w, j, w_last in receivers:
             if w == v - 1 or (w == v and j == w_last):

@@ -15,7 +15,7 @@ from oracles import conjugate_by_transposition, l1_distance_to_set
 
 
 def names(analysis, ids):
-    return sorted(analysis.graph.vertices[v] for v in ids)
+    return sorted(tuple(analysis.graph.vertices[v]) for v in ids)
 
 
 class TestAxis:
@@ -41,7 +41,7 @@ class TestAxis:
             g = a.graph
             expected = {v for v in range(g.num_vertices) if g.conj[v] == v}
             assert a.geometry.axis == expected
-            transposed = {v for v, p in enumerate(g.vertices) if conjugate_by_transposition(p) == p}
+            transposed = {v for v, p in enumerate(g.vertices) if conjugate_by_transposition(p) == tuple(p)}
             assert a.geometry.axis == transposed
 
 
@@ -80,7 +80,7 @@ class TestInteractionGraph:
         # through the two cliques {0, 2} and {1, 2}.
         g = PartitionGraph(
             n=3,
-            vertices=((3,), (2, 1), (1, 1, 1)),
+            vertices=(bytes((3,)), bytes((2, 1)), bytes((1, 1, 1))),
             conj=(0, 1, 2),
             cliques=((0, 2), (1, 2)),
             vertex_cliques=((0,), (1,), (0, 1)),

@@ -51,7 +51,7 @@ def _drop_clique_member(a):
 def _drop_vertex_clique(a):
     # (6,4,2) forgets its first clique
     g = a.graph
-    u = g.vertices.index((6, 4, 2))
+    u = g.vertices.index(bytes((6, 4, 2)))
     vertex_cliques = list(g.vertex_cliques)
     vertex_cliques[u] = vertex_cliques[u][1:]
     return _with_graph(a, vertex_cliques=tuple(vertex_cliques))
@@ -68,7 +68,7 @@ def _unsort_vertex(a):
     # and an addable one (2,2)
     g = a.graph
     vertices = list(g.vertices)
-    vertices[g.vertices.index((7, 3, 1, 1))] = (7, 1, 3, 1)
+    vertices[g.vertices.index(bytes((7, 3, 1, 1)))] = bytes((7, 1, 3, 1))
     return _with_graph(a, vertices=tuple(vertices))
 
 
@@ -119,7 +119,7 @@ def test_bfs_triangle_reads_the_recorded_distances():
     # gives; these are the arrays report and export print, so a check
     # that ran its own BFS from the axis and the spine would pass them.
     a = analyze(12)
-    ends = {0, a.graph.vertices.index((1,) * 12)}
+    ends = {0, a.graph.vertices.index(bytes((1,) * 12))}
     raised = {
         field: tuple(d + 2 if v in ends else d for v, d in enumerate(getattr(a.geometry, field)))
         for field in ("ax_dist", "sp_dist")
@@ -135,7 +135,7 @@ def test_bfs_triangle_pins_the_distances_from_below():
     # most 1 along every edge, so only the step down towards the sources
     # rejects them.
     a = analyze(12)
-    ends = {0, a.graph.vertices.index((1,) * 12)}
+    ends = {0, a.graph.vertices.index(bytes((1,) * 12))}
     lowered = {}
     for dist_field, shells_field in (("ax_dist", "ax_shells"), ("sp_dist", "sp_shells")):
         dist = tuple(d - 1 if v in ends else d for v, d in enumerate(getattr(a.geometry, dist_field)))

@@ -2,7 +2,9 @@ import os
 
 import pytest
 
+import partition_axis.graph
 from partition_axis.cli import main
+from partition_axis.partitions import MAX_N
 
 
 def test_report_writes_files(tmp_path, capsys):
@@ -32,10 +34,17 @@ def test_report_threads_flag(tmp_path):
     ["report", "--n-min", "1", "--n-max", "3", "--threads", "0"],
     ["report", "--n-min", "1", "--n-max", "3", "--threads", "-3"],
     ["report", "--n-min", "1", "--n-max", "3", "--threads", str((os.cpu_count() or 1) + 1)],
+    ["report", "--n-min", "1", "--n-max", str(MAX_N + 1)],
+    ["export", "--n-min", "1", "--n-max", str(MAX_N + 1), "--format", "dot"],
+    ["verify", "--n-min", "1", "--n-max", str(MAX_N + 1)],
 ])
-def test_invalid_range_is_usage_error(args, tmp_path):
+def test_invalid_range_is_usage_error(args, tmp_path, monkeypatch):
+    def refuse(n):
+        raise AssertionError(f"enumeration started for n = {n}")
+
+    monkeypatch.setattr(partition_axis.graph, "enumerate_partitions", refuse)
     with pytest.raises(SystemExit) as exc:
-        main(args + (["--out-dir", str(tmp_path)] if args[0] == "report" else []))
+        main(args + (["--out-dir", str(tmp_path)] if args[0] != "verify" else []))
     assert exc.value.code == 2
     assert not any(tmp_path.iterdir())
 

@@ -1,3 +1,6 @@
+import hashlib
+import pickle
+import sys
 from dataclasses import replace
 
 import pytest
@@ -17,6 +20,64 @@ from oracles import (
 )
 
 
+# sha256 of the pickled (protocol 4) decoded graph
+# (vertices as tuples, cliques, vertex_cliques, conj), from the build that
+# stored each vertex as a tuple of ints.
+GRAPH_SHA256 = {
+    1: "2b43382300d177be1d75a106e3f2dd6c8bbf99ef5be2c40aff688d9a61ebd8fb",
+    2: "d9420ed59021b0479c17b97aabad774c2e0f640149ee7ad44c3a272f81ec10b4",
+    3: "52ed1d385848fd054835e4aa38ad117446678cf4122eecca7b9994cce30d4ebc",
+    4: "382271747e275b1fe4333067bb6902158cf22d60db7a23432ea9501d38e0f97e",
+    5: "f51f8ef449706d3295aa89dcf6562074ee63374c9d345fd154c1753dc642c06e",
+    6: "ab5a9d5f8848ae6f995d1ba26eedf356a7ebf116cbdadb5eccf46f0746272ce5",
+    7: "2192df077c83faa7885f25c860ee70d1d5dc3d8c8e6f51247cd57cba4fd77123",
+    8: "411ce01536e2090617eca28b695803d7410eb29f0f33d75cd2cd4b19a95f3f89",
+    9: "5cca68b624c6b664e177b22a07ca7da09f29361f00f93beaa5097e5596a036a6",
+    10: "8f76b2800e5d416cb8540e2e8dd573789e7f6ecb84dd2099eef6c97b3c193e7a",
+    11: "68754d411f22ccebd680d484bf9cfe3c2f5d609baa2b4f527611fe5a16fcf04c",
+    12: "2869990627649ca8996ccac8248dbd86c63ae425ca937c268c7c9670eee3a5b9",
+    13: "0fc0b3358e2cdeee50fc9dbd558fc5225168e6074db362480ede8ffd62db93f4",
+    14: "4dbe5c4df521b32bd5483822456faf119a53510cd8d80d8f9bb0d7e26d084916",
+    15: "1af46f731aa16c24097ad00a49530910079b7d0719184ee43242238a941fa123",
+    16: "df8e2fa080c364ec4d5944d1115109f8038340a4eb8f4d5ee0eeccd19adea04b",
+    17: "cc8825f40e891bac8e761b1fddb077d496ba682fc2876913e66394f16fe7d676",
+    18: "040b54078e56435cdb04220233507109e77e975900fbe40ce7e3cf936d8972a7",
+    19: "57c4fa4cec240db43fd3b2d362db2dc262cf1d0c63cf9a04d909a6d8d7f53a48",
+    20: "68bbcfc33bf270bdf3ce0e635b0de4e6708629d3fb855355722a2dbe31f21da1",
+    21: "093ade3506f02cf8a1b68291f5e16b19381d610fd7c3d1021f4e658a5f3a3aef",
+    22: "0845c93740c8d256850b6d73db772bca01fb10ad58c367bc933913a5275ffe8a",
+    23: "75362cae7ac5144f134e67c7098eb722411d50bcf76a4ca0d043c8edfaf08cf8",
+    24: "5166666eea1e7b3f51ca692e1198bab5bdae65f620fe0ac60cc81cca7cbdd0d5",
+    25: "db7936390fa791ecfea846a5bbc61801ec4a0ac95e61476b9476215c3982d75a",
+    26: "65e25ab4b86abeb2c3ca3f326b6b5e6e2af6feac20678a92191dc4d660cf217f",
+    27: "0772b178027a8baf3e1d4a572656933ff7cf13d189fba9de6ee62b57dee8424d",
+    28: "0c0be4c230aef57579899dcbbc213590e739ad663160262a7207120bf2160d40",
+    29: "28bfc2abdf6fdb3c4d7eecc91ebef86ea1cf66e7d0adbefea1aa08b668afb676",
+    30: "76cbf1860b3ac0e6cc40ed22c09965fa28de6f83ed42b2b67ff2ac9976ef39aa",
+}
+
+
+@pytest.mark.parametrize("n", range(1, 31))
+def test_decoded_graph_is_pinned(n):
+    g = analyze(n).graph
+    decoded = (tuple(map(tuple, g.vertices)), g.cliques, g.vertex_cliques, g.conj)
+    assert hashlib.sha256(pickle.dumps(decoded, protocol=4)).hexdigest() == GRAPH_SHA256[n]
+
+
+@pytest.mark.parametrize("n", range(1, 31))
+def test_vertices_are_descending_bytes_summing_to_n(n):
+    vertices = analyze(n).graph.vertices
+    assert all(type(v) is bytes and sum(v) == n for v in vertices)
+    assert all(a > b for a, b in zip(vertices, vertices[1:]))
+
+
+def test_bytes_vertices_take_at_most_two_fifths_of_tuples():
+    vertices = analyze(30).graph.vertices
+    as_bytes = sum(map(sys.getsizeof, vertices))
+    as_tuples = sum(sys.getsizeof(tuple(v)) for v in vertices)
+    assert as_bytes <= 0.4 * as_tuples
+
+
 def test_rejects_invalid_n():
     with pytest.raises(ValueError):
         build_graph(0)
@@ -24,7 +85,7 @@ def test_rejects_invalid_n():
 
 def test_n1_single_isolated_vertex():
     g = build_graph(1)
-    assert g.vertices == ((1,),)
+    assert g.vertices == (bytes((1,)),)
     assert g.adjacency == ((),)
     assert g.conj == (0,)
 
@@ -40,7 +101,7 @@ def test_n2_conjugate_pair():
 @pytest.mark.parametrize("n", range(1, 19))
 def test_equals_brute_force_graph(n):
     g = build_graph(n)
-    assert (g.vertices, g.adjacency, g.conj) == graph_by_brute_force(n)
+    assert (tuple(map(tuple, g.vertices)), g.adjacency, g.conj) == graph_by_brute_force(n)
 
 
 @pytest.mark.parametrize("n", range(1, 19))
@@ -67,7 +128,7 @@ def test_clique_cover_matches_brute_force_graph(n):
 @pytest.mark.parametrize("n", range(19, 31))
 def test_rows_equal_per_vertex_transfers(n):
     g = build_graph(n)
-    index = {p: i for i, p in enumerate(g.vertices)}
+    index = {tuple(p): i for i, p in enumerate(g.vertices)}
     for p, row in zip(g.vertices, g.adjacency):
         assert row == tuple(sorted(index[m] for m in transfer_neighbors(p)))
 
@@ -185,11 +246,11 @@ class TestBfs:
 
     def test_three_vertex_path(self):
         g = build_graph(3)
-        mid = g.vertices.index((2, 1))
+        mid = g.vertices.index(bytes((2, 1)))
         dist = bfs_distances(g, [mid])
         assert dist[mid] == 0
-        assert dist[g.vertices.index((3,))] == 1
-        assert dist[g.vertices.index((1, 1, 1))] == 1
+        assert dist[g.vertices.index(bytes((3,)))] == 1
+        assert dist[g.vertices.index(bytes((1, 1, 1)))] == 1
 
     def test_empty_sources_all_unreachable(self):
         g = build_graph(5)

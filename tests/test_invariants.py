@@ -49,14 +49,14 @@ class TestLocalCliqueNumber:
     def test_triangle_member(self):
         # (2,2) has exactly the neighbors (3,1) and (2,1,1), themselves adjacent
         g = analyze(4).graph
-        v = g.vertices.index((2, 2))
+        v = g.vertices.index(bytes((2, 2)))
         assert len(g.adjacency[v]) == 2
         assert local_clique_number(g, v) == 3
 
     def test_path_center(self):
         # (2,1) sits between (3) and (1,1,1), which are not adjacent
         g = analyze(3).graph
-        v = g.vertices.index((2, 1))
+        v = g.vertices.index(bytes((2, 1)))
         assert local_clique_number(g, v) == 2
 
     def test_n29_max_is_eight(self):

@@ -1,6 +1,7 @@
 import pytest
 
 from partition_axis import conjugate, enumerate_partitions, format_partition
+from partition_axis.partitions import MAX_N
 from partition_axis.checks import pentagonal_partition_count
 
 from oracles import (
@@ -14,7 +15,7 @@ from oracles import (
 
 class TestEnumeration:
     def test_n4_order(self):
-        assert enumerate_partitions(4) == [
+        assert list(map(tuple, enumerate_partitions(4))) == [
             (4,),
             (3, 1),
             (2, 2),
@@ -23,12 +24,12 @@ class TestEnumeration:
         ]
 
     def test_n1(self):
-        assert enumerate_partitions(1) == [(1,)]
+        assert list(map(tuple, enumerate_partitions(1))) == [(1,)]
 
     def test_endpoints(self):
         parts = enumerate_partitions(9)
-        assert parts[0] == (9,)
-        assert parts[-1] == (1,) * 9
+        assert tuple(parts[0]) == (9,)
+        assert tuple(parts[-1]) == (1,) * 9
 
     def test_n30_count(self):
         assert len(enumerate_partitions(30)) == 5604
@@ -59,6 +60,12 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             enumerate_partitions(bad)
 
+    @pytest.mark.parametrize("bad", [MAX_N + 1, 1000])
+    def test_rejects_n_beyond_one_byte_per_part(self, bad):
+        # The bound is checked before the first partition is built.
+        with pytest.raises(ValueError, match=f"at most {MAX_N}"):
+            enumerate_partitions(bad)
+
 
 class TestConjugate:
     @pytest.mark.parametrize(
@@ -75,12 +82,12 @@ class TestConjugate:
         ],
     )
     def test_known_values(self, parts, expected):
-        assert conjugate(parts) == expected
+        assert tuple(conjugate(parts)) == expected
 
     def test_matches_cell_transposition(self):
         for n in range(1, 13):
             for parts in enumerate_partitions(n):
-                assert conjugate(parts) == conjugate_by_transposition(parts)
+                assert tuple(conjugate(parts)) == conjugate_by_transposition(parts)
 
     def test_involution(self):
         for parts in enumerate_partitions(11):
@@ -100,18 +107,18 @@ class TestTransferNeighbors:
 
     def test_matches_naive_index_enumeration(self):
         for n in range(1, 13):
-            for parts in enumerate_partitions(n):
+            for parts in map(tuple, enumerate_partitions(n)):
                 assert transfer_neighbors(parts) == naive_transfer_neighbors(parts)
 
     def test_symmetry(self):
-        for parts in enumerate_partitions(9):
+        for parts in map(tuple, enumerate_partitions(9)):
             for other in transfer_neighbors(parts):
                 assert parts in transfer_neighbors(other)
 
     def test_conjugation_is_adjacency_preserving(self):
-        for parts in enumerate_partitions(10):
-            image = {conjugate(m) for m in transfer_neighbors(parts)}
-            assert image == transfer_neighbors(conjugate(parts))
+        for parts in map(tuple, enumerate_partitions(10)):
+            image = {tuple(conjugate(m)) for m in transfer_neighbors(parts)}
+            assert image == transfer_neighbors(tuple(conjugate(parts)))
 
 
 class TestTextForm:

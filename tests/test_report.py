@@ -121,6 +121,7 @@ class TestRunRange:
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["n_min"] == 1 and manifest["n_max"] == 5
         assert set(manifest["per_n_seconds"]) == {"1", "2", "3", "4", "5"}
+        assert isinstance(manifest["peak_rss_mib"], float) and manifest["peak_rss_mib"] > 0
         for name, digest in manifest["files"].items():
             actual = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
             assert digest == f"sha256:{actual}"
