@@ -11,7 +11,7 @@ from .axial import (
     interaction_graph,
     thick_spine,
 )
-from .graph import UNREACHABLE, PartitionGraph, bfs_distances, build_graph
+from .graph import UNREACHABLE, PartitionGraph, Rows, bfs_distances, build_graph
 from .invariants import (
     INVARIANTS,
     InvariantProfile,
@@ -31,6 +31,7 @@ __all__ = [
     "OracleInfeasibleError",
     "Partition",
     "PartitionGraph",
+    "Rows",
     "UNREACHABLE",
     "all_profiles",
     "analyze",

@@ -9,10 +9,13 @@ spine stratify the vertex set into shells.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations
+from math import isqrt
 
 from .graph import UNREACHABLE, PartitionGraph, bfs_distances
+from .partitions import conjugate, enumerate_partitions
 
 
 AxialPair = tuple[int, int]
@@ -40,8 +43,29 @@ class AxialGeometry:
 
 
 def compute_axis(g: PartitionGraph) -> frozenset[int]:
-    """Fixed points of the conjugation permutation."""
-    return frozenset(v for v in range(g.num_vertices) if g.conj[v] == v)
+    """The self-conjugate vertices, lambda = lambda': the fixed points of
+    conjugation, built from their parts and found by binary search in
+    the descending vertex order.
+
+    A self-conjugate lambda with Durfee square d x d is d + mu_i in rows
+    i <= d, for a partition mu of (n - d^2)/2 into at most d parts, and
+    mu' below the square; every such mu gives one. So the axis is built
+    from the partitions of (n - d^2)/2, a vanishing share of p(n), and
+    no vertex is transposed.
+    """
+    vertices = g.vertices
+    axis = []
+    for d in range(1, isqrt(g.n) + 1):
+        half, odd = divmod(g.n - d * d, 2)
+        if odd:
+            continue
+        for mu in enumerate_partitions(half) if half else [b""]:
+            if len(mu) > d:
+                continue
+            parts = bytes(d + x for x in mu.ljust(d, b"\0")) + conjugate(mu)
+            # vertices descend, so `vertices[i] <= parts` turns True at parts
+            axis.append(bisect_left(range(len(vertices)), True, key=lambda i: vertices[i] <= parts))
+    return frozenset(axis)
 
 
 def interaction_graph(

@@ -9,9 +9,11 @@ rows: only clique_oracle, for small n, builds rows.
 
 from __future__ import annotations
 
+from array import array
 from collections import Counter
 from dataclasses import dataclass
-from operator import lt
+from itertools import compress, count, pairwise
+from operator import eq, lt, sub
 from typing import Callable
 
 from .axial import central_region, thick_spine
@@ -25,7 +27,7 @@ from .invariants import (
     local_clique_number,
     local_clique_number_oracle,
 )
-from .partitions import Partition, conjugate, format_partition
+from .partitions import Partition, check_range, conjugate, format_partition
 from .pipeline import GraphAnalysis, analyze
 
 ORACLE_N_LIMIT = 14
@@ -94,35 +96,42 @@ def _check_adjacency_symmetric_irreflexive(a: GraphAnalysis) -> Outcome:
     # edge exactly once, so the rows read off it are symmetric and
     # irreflexive.
     g = a.graph
-    vertices, vertex_cliques = g.vertices, g.vertex_cliques
+    vertices = g.vertices
+    through, firsts = g.vertex_cliques.members, g.vertex_cliques.starts
+    # The cliques come in ascending id, so each member's row must list
+    # them in that order: cursor[u] is where the next clique through u
+    # is due, and at the end every row is used up.
+    cursor, ends = firsts[:-1], firsts[1:]
     for k, members in enumerate(g.cliques):
         if not all(map(lt, members, members[1:])):
             return False, f"clique {k} is not strictly ascending"
         # A lone member is the cover (1) of nu = (), at n = 1. nu is a list:
         # freed tuples stay on CPython's per-length free lists, which held
         # about 0.45 MiB of them after this loop at n = 30.
-        nu = list(map(min, *(vertices[u] for u in members))) if len(members) > 1 else []
+        nu = list(map(min, *map(vertices.__getitem__, members))) if len(members) > 1 else []
         if sum(nu) != a.n - 1 or len(members) != len(set(nu)) + 1:
             return False, f"clique {k} is not the upper covers of one partition of n-1"
-        if not all(k in vertex_cliques[u] for u in members):
-            return False, f"clique {k} is missing from vertex_cliques"
-    if len(set(g.cliques)) != len(g.cliques):
+        for u in members:
+            at = cursor[u]
+            if at == ends[u] or through[at] != k:
+                return False, f"clique {k} is missing from vertex_cliques"
+            cursor[u] = at + 1
+    if len(set(map(memoryview.tobytes, g.cliques))) != len(g.cliques):
         return False, "two cliques cover one partition of n-1"
-    for parts, ks in zip(vertices, vertex_cliques):
-        if not all(map(lt, ks, ks[1:])) or len(ks) != len(set(parts)):
-            return False, f"{format_partition(parts)} lies in cliques {ks}"
-    # Each clique's incidences are listed, and no more, so the lists are
-    # the transpose.
-    if sum(map(len, vertex_cliques)) != sum(map(len, g.cliques)):
-        return False, "vertex_cliques lists more incidences than cliques"
+    lengths = list(map(sub, ends, firsts))
+    if cursor != ends or lengths != list(map(len, map(set, vertices))):
+        u = next(u for u, parts in enumerate(vertices) if cursor[u] != ends[u] or lengths[u] != len(set(parts)))
+        return False, f"{format_partition(vertices[u])} lies in cliques {tuple(g.vertex_cliques[u])}"
     return True, ""
 
 
 def _check_conjugation_involution(a: GraphAnalysis) -> Outcome:
-    # build_graph reads conj off the cover, so it is also compared with
+    # conj is read off the cover, so it is also compared with
     # each partition's transpose, computed from the parts alone; the
     # identity is an involution and maps every clique onto itself. Both
     # maps are involutions, so each pair {v, w} is compared once, at v <= w.
+    # compute_axis builds the axis from the parts without reading conj,
+    # so the recorded axis is compared with conj's fixed points.
     g = a.graph
     conj, vertices = g.conj, g.vertices
     for v, parts in enumerate(vertices):
@@ -134,6 +143,14 @@ def _check_conjugation_involution(a: GraphAnalysis) -> Outcome:
                 f"conj maps {format_partition(parts)} to "
                 f"{format_partition(vertices[w])}, not its transpose"
             )
+    axis = a.geometry.axis
+    fixed = frozenset(compress(count(), map(eq, conj, count())))
+    if axis != fixed:
+        v = min(axis ^ fixed)
+        return False, (
+            f"the axis {'holds' if v in axis else 'misses'} {format_partition(vertices[v])}, "
+            f"which conj {'moves' if v in axis else 'fixes'}"
+        )
     return True, ""
 
 
@@ -142,10 +159,19 @@ def _check_conjugation_automorphism(a: GraphAnalysis) -> Outcome:
     # every edge lies in a clique, each edge maps onto an edge.
     g = a.graph
     conj, vertex_cliques = g.conj, g.vertex_cliques
-    cliques = set(g.cliques)
-    for members in g.cliques:
-        if tuple(sorted(conj[u] for u in members)) in cliques:
+    cliques = set(map(memoryview.tobytes, g.cliques))
+    # Conjugation maps a clique onto another read backwards, so each image
+    # is looked up backwards first, then sorted. Reversing the whole member
+    # array reverses every clique in place: clique k's image, backwards, is
+    # one slice of the conjugated reversal.
+    flat = g.cliques.members
+    backwards = memoryview(array("i", map(conj.__getitem__, reversed(flat))))
+    end = len(flat)
+    for k, (lo, hi) in enumerate(pairwise(g.cliques.starts)):
+        image = backwards[end - hi : end - lo]
+        if image.tobytes() in cliques or array("i", sorted(image)).tobytes() in cliques:
             continue
+        members = g.cliques[k]
         # Name the first edge whose image is no edge. If every image is an
         # edge, the images still lie in no one clique: name the first edge.
         u, v = next(
@@ -179,10 +205,10 @@ def _check_degree_sum(a: GraphAnalysis) -> Outcome:
     # Each vertex's cover degree, the sum of |K| - 1 over its cliques, is
     # its transfer count; the degrees add up to twice the edge count.
     g = a.graph
-    sizes = [len(members) - 1 for members in g.cliques]
+    sizes = g.incidence_sizes
     total = 0
-    for parts, ks in zip(g.vertices, g.vertex_cliques):
-        deg = sum(sizes[k] for k in ks)
+    for parts, (lo, hi) in zip(g.vertices, pairwise(g.vertex_cliques.starts)):
+        deg = sum(sizes[lo:hi]) - (hi - lo)
         if deg != _transfer_count(parts):
             return False, f"{format_partition(parts)} has cover degree {deg}, closed form {_transfer_count(parts)}"
         total += deg
@@ -248,22 +274,23 @@ def _check_bfs_triangle(a: GraphAnalysis) -> Outcome:
     return True, ""
 
 
-def _axis_members(g: PartitionGraph, axis: frozenset[int]) -> list[int]:
-    """How many axis vertices each clique holds."""
-    return [sum(map(axis.__contains__, members)) for members in g.cliques]
+def _axis_members(g: PartitionGraph, axis: frozenset[int]) -> Counter:
+    """How many axis vertices each clique holds, counted along the axis
+    vertices' clique rows; a clique not listed holds none."""
+    return Counter(k for a in axis for k in g.vertex_cliques[a])
 
 
 def _check_axis_edgeless(a: GraphAnalysis) -> Outcome:
     # Each clique holds at most one axis vertex.
     g = a.graph
     axis = a.geometry.axis
-    for k, count in enumerate(_axis_members(g, axis)):
-        if count > 1:
-            u, v = [u for u in g.cliques[k] if u in axis][:2]
-            return False, (
-                f"axis vertices {format_partition(g.vertices[u])} and "
-                f"{format_partition(g.vertices[v])} are adjacent"
-            )
+    crowded = [k for k, count in _axis_members(g, axis).items() if count > 1]
+    if crowded:
+        u, v = [u for u in g.cliques[min(crowded)] if u in axis][:2]
+        return False, (
+            f"axis vertices {format_partition(g.vertices[u])} and "
+            f"{format_partition(g.vertices[v])} are adjacent"
+        )
     return True, ""
 
 
@@ -296,17 +323,18 @@ def _check_spine_conj_invariant(a: GraphAnalysis) -> Outcome:
 def _check_spine_membership(a: GraphAnalysis) -> Outcome:
     # Independent re-derivation: an off-axis vertex is spinal iff it is
     # adjacent to two distinct axis vertices. Its cliques meet only in
-    # itself, so its axis neighbours are counted clique by clique.
+    # itself, so its axis neighbours are counted clique by clique, over
+    # the cliques that hold an axis vertex.
     g = a.graph
     geom = a.geometry
     axis = geom.axis
-    on_axis = _axis_members(g, axis)
-    for v, ks in enumerate(g.vertex_cliques):
-        if v in axis:
-            continue
-        bridging = sum(on_axis[k] for k in ks) >= 2
-        if bridging != (v in geom.spine):
-            return False, f"{format_partition(g.vertices[v])} misclassified for the spine"
+    neighbours: Counter = Counter()
+    for k, count in _axis_members(g, axis).items():
+        neighbours.update(dict.fromkeys(g.cliques[k], count))
+    bridging = {v for v, count in neighbours.items() if count >= 2} - axis
+    wrong = bridging ^ (geom.spine - axis)
+    if wrong:
+        return False, f"{format_partition(g.vertices[min(wrong)])} misclassified for the spine"
     return True, ""
 
 
@@ -467,8 +495,7 @@ def run_checks(n: int) -> list[CheckResult]:
 
 
 def verify_range(n_min: int, n_max: int) -> list[CheckResult]:
-    if n_min < 1 or n_min > n_max:
-        raise ValueError(f"invalid range {n_min}..{n_max}")
+    check_range(n_min, n_max)
     results = []
     for n in range(n_min, n_max + 1):
         results.extend(run_checks(n))

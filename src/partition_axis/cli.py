@@ -9,7 +9,7 @@ from pathlib import Path
 
 from .checks import verify_range
 from .exports import FORMATS, export_graph
-from .partitions import MAX_N
+from .partitions import check_range
 from .report import GOLDEN_RANGE_MAX, run_range
 
 
@@ -43,10 +43,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.n_min < 1 or args.n_min > args.n_max:
-        parser.error(f"invalid range {args.n_min}..{args.n_max}")
-    if args.n_max > MAX_N:
-        parser.error(f"--n-max must be at most {MAX_N} (one byte per part), got {args.n_max}")
+    try:
+        check_range(args.n_min, args.n_max)
+    except ValueError as exc:
+        parser.error(str(exc))
     out_dir = getattr(args, "out_dir", None)
     if out_dir is not None:
         # mkdir fails unless the nearest existing ancestor is a directory.

@@ -5,23 +5,59 @@ for the bytes form of a Partition is descending byte order; two
 vertices are joined when one arises from the other by moving a single
 unit between two distinct parts. The graph is stored as its clique
 cover from Young's lattice (see build_graph): one clique per partition
-of n-1, and for each vertex the cliques through it. The program reads
-the cover; only the small-n clique oracle asks for sorted adjacency rows.
-Conjugation permutes the vertices and preserves adjacency, so it is
-stored alongside the graph as an index permutation, read off the cover:
-it maps cliques onto cliques.
+of n-1, and for each vertex the cliques through it, both as flat Rows.
+The program reads the cover; only the small-n clique oracle asks for
+sorted adjacency rows. Conjugation permutes the vertices and preserves
+adjacency; it is read off the cover, which it maps onto itself, the
+first time it is asked for.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from itertools import accumulate, islice
+from operator import sub
+from typing import Iterable, Iterator
 
 from .partitions import Partition, enumerate_partitions
 
 UNREACHABLE = -1
+
+
+class Rows:
+    """A sequence of int rows stored flat in two ``array('i')``: row i is
+    ``members[starts[i]:starts[i + 1]]``, read as a memoryview slice.
+
+    Two arrays in place of a tuple per row: a member costs 4 bytes, not
+    a pointer and an int object, and the garbage collector tracks none
+    of it. A memoryview slice shares the array's buffer, where an array
+    slice copies it, and iterates faster. The hot loops slice a
+    memoryview of ``members`` themselves.
+    """
+
+    __slots__ = ("members", "starts")
+
+    def __init__(self, members: array, starts: array) -> None:
+        self.members = members
+        self.starts = starts
+
+    def __len__(self) -> int:
+        return len(self.starts) - 1
+
+    def __getitem__(self, i: int) -> memoryview:
+        if i < 0:
+            i += len(self)
+        starts = self.starts
+        return memoryview(self.members)[starts[i] : starts[i + 1]]
+
+    def __iter__(self) -> Iterator[memoryview]:
+        members, bounds = memoryview(self.members), iter(self.starts)
+        lo = next(bounds)
+        for hi in bounds:
+            yield members[lo:hi]
+            lo = hi
 
 
 @dataclass(frozen=True, eq=False)
@@ -36,9 +72,8 @@ class PartitionGraph:
 
     n: int
     vertices: tuple[Partition, ...]
-    conj: tuple[int, ...]
-    cliques: tuple[tuple[int, ...], ...]
-    vertex_cliques: tuple[tuple[int, ...], ...]
+    cliques: Rows
+    vertex_cliques: Rows
 
     @property
     def num_vertices(self) -> int:
@@ -46,16 +81,70 @@ class PartitionGraph:
 
     @property
     def num_edges(self) -> int:
-        return sum(len(c) * (len(c) - 1) for c in self.cliques) // 2
+        return sum(s * (s - 1) for s in self.clique_sizes) // 2
+
+    @cached_property
+    def clique_sizes(self) -> bytes:
+        """|K| for each clique K; k(nu) + 1 <= n, so one byte each."""
+        starts = self.cliques.starts
+        return bytes(map(sub, islice(starts, 1, None), starts))
+
+    @cached_property
+    def incidence_sizes(self) -> bytes:
+        """``clique_sizes`` laid out as ``vertex_cliques.members``: vertex
+        u's slice holds the sizes of the cliques through u."""
+        return bytes(map(self.clique_sizes.__getitem__, self.vertex_cliques.members))
 
     @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
         """Every sorted neighbour row, built on first use and then kept."""
-        cliques = self.cliques
+        members, starts = memoryview(self.cliques.members), self.cliques.starts
         return tuple(
-            tuple(sorted(v for k in ks for v in cliques[k] if v != u))
+            tuple(sorted(v for k in ks for v in members[starts[k] : starts[k + 1]] if v != u))
             for u, ks in enumerate(self.vertex_cliques)
         )
+
+    @cached_property
+    def conj(self) -> array:
+        """The conjugation permutation, read off the cover on first use.
+
+        Transposition is an involutive automorphism of Young's lattice, so
+        it maps the upper covers of nu onto those of its conjugate nu',
+        in reverse order: nu's addable cells, by increasing row, have
+        strictly decreasing columns; transposed, they are the addable
+        cells of nu' by decreasing row. A clique lists its members by
+        increasing row of the added cell, so ``cliques[k][m]`` maps to
+        ``cliques[k'][-1 - m]``.
+
+        The pass sweeps the cliques in id order, anchored at conj[0] =
+        p - 1, as (n) and (1^n) are conjugate. Clique k's first member is
+        nu + e_1; it maps to the last member of k', the new-part cover
+        nu' + (1). A vertex lists its cliques by decreasing row of the
+        removed cell (a cell removed higher up gives a lexicographically
+        smaller nu, hence a larger id), so k' is that vertex's first
+        clique, from its added part. The members of k and k' are then
+        paired both ways, and each clique is mapped once. conj of the
+        first member is set when clique k is reached: it is (n) for
+        k = 0, and otherwise it has two rows, and removing its last cell
+        gives a lexicographically larger nu, whose clique was mapped
+        before.
+        """
+        members, starts = memoryview(self.cliques.members), self.cliques.starts
+        through, firsts = self.vertex_cliques.members, self.vertex_cliques.starts
+        p = self.num_vertices
+        conj = array("i", [0]) * p
+        conj[0], conj[-1] = p - 1, 0
+        mapped = bytearray(len(self.cliques))
+        for k in range(len(mapped)):
+            if mapped[k]:
+                continue
+            lo, hi = starts[k], starts[k + 1]
+            image = through[firsts[conj[members[lo]]]]
+            mapped[k] = mapped[image] = 1
+            for v, w in zip(members[lo:hi], reversed(members[starts[image] : starts[image + 1]])):
+                conj[v] = w
+                conj[w] = v
+        return conj
 
 
 def build_graph(n: int) -> PartitionGraph:
@@ -85,77 +174,44 @@ def build_graph(n: int) -> PartitionGraph:
     one entry raised. A cell added higher up gives a lexicographically larger
     partition, so each clique comes out in ascending vertex order, and
     the new-part cover last. Clique ids follow nu in reverse-lex order,
-    since appending a 1 keeps lexicographic order.
-
-    Conjugation is read off the cover. Transposition is an involutive
-    automorphism of Young's lattice, so it maps the upper covers of nu
-    onto those of its conjugate nu', and the lower covers of lambda onto
-    those of lambda', and both lists come out reversed:
-
-    - nu's addable cells, by increasing row, have strictly decreasing
-      columns; transposed, they are the addable cells of nu' by
-      decreasing row. A clique lists its members by increasing row of
-      the added cell, so ``cliques[k][m]`` maps to ``cliques[k'][-1 - m]``.
-    - Removing a cell from a higher row of lambda gives a
-      lexicographically smaller nu, hence a larger clique id, so
-      ``vertex_cliques[u]`` lists lambda's removable cells by decreasing
-      row, that is by increasing column. Transposed, those are the
-      removable cells of lambda' by increasing row, so
-      ``vertex_cliques[u][t]`` maps to ``vertex_cliques[conj[u]][-1 - t]``.
-
-    The pass is anchored at conj[0] = p - 1, as (n) and (1^n) are
-    conjugate, and sweeps u upward. Every lambda != (n) has a neighbour
-    of smaller id: a unit moved from its last part onto its first gives
-    a lexicographically larger partition. When that neighbour was swept,
-    every clique through it was mapped, the one holding its edge to u
-    too, so conj[u] is set when u is reached. The second law then names
-    the image of each clique through u not mapped yet, and the first
-    law pairs up the members of the two, both ways. Each clique is
-    mapped once.
+    since appending a 1 keeps lexicographic order, so each vertex's
+    clique ids come out ascending too: its row is sized k(lambda) in
+    advance and filled from a cursor.
     """
     vertices = tuple(enumerate_partitions(n))
     index = {p: i for i, p in enumerate(vertices)}
-    cliques = []
-    vertex_cliques: list[tuple[int, ...]] = [()] * len(vertices)
+    firsts = array("i", accumulate(map(len, map(set, vertices)), initial=0))
+    cursor = firsts[:-1]
+    through = array("i", [0]) * firsts[-1]
+    members = array("i")
+    starts = array("i", [0])
     for lam, new_row in index.items():
         if lam[-1] != 1:
             continue
+        k = len(starts) - 1
         nu = bytearray(lam)
         del nu[-1]
-        k = len(cliques)
-        clique = []
         above = 0
         for j, v in enumerate(nu):
             if v != above:
                 nu[j] = v + 1
                 u = index[bytes(nu)]
                 nu[j] = v
-                clique.append(u)
-                vertex_cliques[u] += (k,)
+                members.append(u)
+                at = cursor[u]
+                through[at] = k
+                cursor[u] = at + 1
             above = v
-        clique.append(new_row)
-        vertex_cliques[new_row] += (k,)
-        cliques.append(tuple(clique))
-    del index
-    conj = [0] * len(vertices)
-    conj[0], conj[-1] = len(vertices) - 1, 0
-    mapped = bytearray(len(cliques))
-    for u, ks in enumerate(vertex_cliques):
-        images = vertex_cliques[conj[u]]
-        for t, k in enumerate(ks):
-            if mapped[k]:
-                continue
-            image = images[-1 - t]
-            mapped[k] = mapped[image] = 1
-            for v, w in zip(cliques[k], reversed(cliques[image])):
-                conj[v] = w
-                conj[w] = v
+        members.append(new_row)
+        at = cursor[new_row]
+        through[at] = k
+        cursor[new_row] = at + 1
+        starts.append(len(members))
     return PartitionGraph(
         n=n,
         vertices=vertices,
-        conj=tuple(conj),
-        cliques=tuple(cliques),
-        vertex_cliques=tuple(vertex_cliques),
+        cliques=Rows(members, starts),
+        vertex_cliques=Rows(through, firsts),
     )
 
 
@@ -165,16 +221,17 @@ def bfs_distances(g: PartitionGraph, sources: Iterable[int]) -> list[int]:
     Vertices not reachable from any source (in particular every vertex
     when ``sources`` is empty) get the UNREACHABLE sentinel, never 0.
 
-    The search walks cliques, not rows: a clique is scanned once, when
-    the first of its members is dequeued, and skipped after that. This
-    labels every vertex as a row-scanning BFS does. Let x be the first
-    dequeued neighbour of an unlabelled v, and K the one clique holding
-    the edge xv. Had K been scanned before x was dequeued, its scanner
-    would be a member dequeued earlier, and not v (never queued), so a
-    neighbour of v dequeued before x; there is none. So x scans K and v
-    gets dist(x) + 1, and no earlier scan can reach v, since its scanner
-    would also be a neighbour dequeued before x. Each clique is read once
-    and each vertex's clique list once.
+    The search is level-synchronous and walks cliques, not rows: level
+    d collects the cliques through its vertices that no lower level
+    reached, and their unlabelled members form level d + 1. This labels
+    every vertex as a row-scanning BFS does. Let v be unlabelled after
+    level d - 1, with a neighbour x at level d, and K the one clique
+    holding the edge xv. K holds no vertex below level d - 1 (it holds
+    x), and none at level d - 1, or v would be labelled; so level d
+    collects K, and v gets d + 1. Each clique is read once and each
+    vertex's clique row once. Both are read in ascending id, a run of
+    consecutive ids at a time: consecutive rows are adjacent in the flat
+    arrays, so a run is one slice.
 
     Distance is half the L1 distance of zero-padded part vectors. A
     transfer moves two coordinates by one, so no path is shorter. For
@@ -184,22 +241,43 @@ def bfs_distances(g: PartitionGraph, sources: Iterable[int]) -> list[int]:
     the other is a transfer, keeps lambda sorted and lowers the L1
     distance by 2. Hence d((n), lambda) = n - lambda_1.
     """
-    cliques, vertex_cliques = g.cliques, g.vertex_cliques
+    members, starts = memoryview(g.cliques.members), g.cliques.starts
+    through, firsts = memoryview(g.vertex_cliques.members), g.vertex_cliques.starts
     dist = [UNREACHABLE] * g.num_vertices
-    scanned = bytearray(len(cliques))
-    queue: deque[int] = deque()
-    for s in sorted(set(sources)):
+    scanned = bytearray(len(g.cliques))
+    level = sorted(set(sources))
+    for s in level:
         dist[s] = 0
-        queue.append(s)
-    while queue:
-        u = queue.popleft()
-        du = dist[u] + 1
-        for k in vertex_cliques[u]:
-            if scanned[k]:
-                continue
-            scanned[k] = 1
-            for v in cliques[k]:
+    d = 0
+    while level:
+        d += 1
+        fresh = []
+        for lo, hi in _runs(level):
+            for k in through[firsts[lo] : firsts[hi]]:
+                if not scanned[k]:
+                    scanned[k] = 1
+                    fresh.append(k)
+        fresh.sort()
+        reached = []
+        for lo, hi in _runs(fresh):
+            for v in members[starts[lo] : starts[hi]]:
                 if dist[v] == UNREACHABLE:
-                    dist[v] = du
-                    queue.append(v)
+                    dist[v] = d
+                    reached.append(v)
+        reached.sort()
+        level = reached
     return dist
+
+
+def _runs(ids: list[int]) -> Iterator[tuple[int, int]]:
+    """Each run of consecutive ints in the ascending list ids, as the
+    half-open range (first, last + 1)."""
+    if not ids:
+        return
+    first = last = ids[0]
+    for i in islice(ids, 1, None):
+        if i != last + 1:
+            yield first, last + 1
+            first = i
+        last = i
+    yield first, last + 1

@@ -9,7 +9,7 @@ maximizer set and the smallest axial / spinal radii enclosing it.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import combinations
+from itertools import combinations, pairwise
 
 from .axial import AxialGeometry
 from .graph import UNREACHABLE, PartitionGraph
@@ -57,7 +57,8 @@ def local_clique_number(g: PartitionGraph, v: int) -> int:
     smallest part (at least 2, so it leaves a new size), has
     k(nu) >= k(lambda). Every vertex lies in k(lambda) >= 1 cliques.
     """
-    return max(len(g.cliques[k]) for k in g.vertex_cliques[v])
+    starts = g.vertex_cliques.starts
+    return max(g.incidence_sizes[starts[v] : starts[v + 1]])
 
 
 def local_clique_number_oracle(g: PartitionGraph, v: int) -> int:
@@ -112,8 +113,8 @@ def all_profiles(
     sum of |K| - 1 over the cliques K through v, omega_loc the largest |K|.
     """
     omega = _build_profile(tuple(local_clique_number(g, v) for v in range(g.num_vertices)), geometry)
-    cliques = g.cliques
-    deg = tuple(sum(len(cliques[k]) - 1 for k in ks) for ks in g.vertex_cliques)
+    sizes = g.incidence_sizes
+    deg = tuple(sum(sizes[a:b]) - (b - a) for a, b in pairwise(g.vertex_cliques.starts))
     return {
         DEG: _build_profile(deg, geometry),
         OMEGA_LOC: omega,

@@ -21,6 +21,7 @@ from pathlib import Path
 from . import __version__
 from .axial import central_region
 from .invariants import INVARIANTS
+from .partitions import check_range
 from .pipeline import GraphAnalysis, analyze
 
 UNDEFINED = "--"
@@ -182,8 +183,7 @@ def run_range(n_min: int, n_max: int, out_dir: Path, threads: int = 1) -> list[P
     between two replacements can leave new CSVs beside the old manifest;
     its checksums then show which files are not the ones it lists.
     """
-    if n_min < 1 or n_min > n_max:
-        raise ValueError(f"invalid range {n_min}..{n_max}")
+    check_range(n_min, n_max)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     summaries = compute_summaries(n_min, n_max, threads=threads)

@@ -10,6 +10,7 @@ from partition_axis import (
     thick_spine,
 )
 
+from layout import rows_of
 from memo import analyze
 from oracles import conjugate_by_transposition, l1_distance_to_set
 
@@ -81,9 +82,8 @@ class TestInteractionGraph:
         g = PartitionGraph(
             n=3,
             vertices=(bytes((3,)), bytes((2, 1)), bytes((1, 1, 1))),
-            conj=(0, 1, 2),
-            cliques=((0, 2), (1, 2)),
-            vertex_cliques=((0,), (1,), (0, 1)),
+            cliques=rows_of(((0, 2), (1, 2))),
+            vertex_cliques=rows_of(((0,), (1,), (0, 1))),
         )
         with pytest.raises(ValueError, match="axial mediator"):
             interaction_graph(g, frozenset({0, 1, 2}))

@@ -14,9 +14,10 @@ from dataclasses import replace
 
 import pytest
 
-from partition_axis import UNREACHABLE
+from partition_axis import UNREACHABLE, all_profiles, axial, axial_geometry, format_partition
 from partition_axis.checks import _CHECKS
 
+from layout import as_tuples, rows_of, with_conj
 from memo import analyze
 from oracles import CHECK_TWINS
 
@@ -43,24 +44,24 @@ def _drop_clique_member(a):
     # still lists the clique
     g = a.graph
     k = next(k for k, members in enumerate(g.cliques) if len(members) == 3)
-    cliques = list(g.cliques)
+    cliques = list(as_tuples(g.cliques))
     cliques[k] = cliques[k][:-1]
-    return _with_graph(a, cliques=tuple(cliques))
+    return _with_graph(a, cliques=rows_of(cliques))
 
 
 def _drop_vertex_clique(a):
     # (6,4,2) forgets its first clique
     g = a.graph
     u = g.vertices.index(bytes((6, 4, 2)))
-    vertex_cliques = list(g.vertex_cliques)
+    vertex_cliques = list(as_tuples(g.vertex_cliques))
     vertex_cliques[u] = vertex_cliques[u][1:]
-    return _with_graph(a, vertex_cliques=tuple(vertex_cliques))
+    return _with_graph(a, vertex_cliques=rows_of(vertex_cliques))
 
 
 def _swap_conj(a):
     conj = list(a.graph.conj)
     conj[0], conj[1] = conj[1], conj[0]
-    return _with_graph(a, conj=tuple(conj))
+    return replace(a, graph=with_conj(a.graph, conj))
 
 
 def _unsort_vertex(a):
@@ -76,8 +77,9 @@ def _join_far_clique_to_source(a):
     # vertex 0 = (n) joins the last clique, whose members lie n-2 and n-1
     # from it, but does not list that clique, so BFS from (n) never scans it
     g = a.graph
-    cliques = g.cliques[:-1] + ((0, *g.cliques[-1]),)
-    return _with_graph(a, cliques=cliques)
+    cliques = as_tuples(g.cliques)
+    cliques = cliques[:-1] + ((0, *cliques[-1]),)
+    return _with_graph(a, cliques=rows_of(cliques))
 
 
 def _widen_axis(a):
@@ -106,12 +108,29 @@ def test_identity_conj_fails_only_against_the_transpose():
     # The identity is an involution and maps every clique onto itself, so
     # only the comparison with each partition's transpose rejects it.
     a = analyze(12)
-    broken = _with_graph(a, conj=tuple(range(a.graph.num_vertices)))
+    broken = replace(a, graph=with_conj(a.graph, range(a.graph.num_vertices)))
     assert CHECKS["conjugation_involution"](a) == (True, "")
     assert CHECKS["conjugation_automorphism"](broken) == (True, "")
     assert CHECKS["conjugation_involution"](broken) == (
         False, "conj maps 12 to 12, not its transpose"
     )
+
+
+def test_conjugation_involution_ties_the_axis_to_conj(monkeypatch):
+    # compute_axis builds the axis from the parts, not from conj. An axis
+    # that misses the self-conjugate (6,2,1,1,1,1) is consistent with the
+    # geometry and profiles recomputed from it, so only the comparison
+    # with conj's fixed points rejects it.
+    a = analyze(12)
+    dropped = min(a.geometry.axis)
+    monkeypatch.setattr(axial, "compute_axis", lambda g: a.geometry.axis - {dropped})
+    geometry = axial_geometry(a.graph)
+    broken = replace(a, geometry=geometry, profiles=all_profiles(a.graph, geometry))
+    assert CHECKS["conjugation_involution"](a) == (True, "")
+    assert CHECKS["conjugation_involution"](broken) == (
+        False, f"the axis misses {format_partition(a.graph.vertices[dropped])}, which conj fixes"
+    )
+    assert [name for name, fn in CHECKS.items() if not fn(broken)[0]] == ["conjugation_involution"]
 
 
 def test_bfs_triangle_reads_the_recorded_distances():
@@ -183,7 +202,7 @@ def test_clique_oracle_names_a_vertex_past_the_degree_bound():
     # vertex 0 lies in one 27-member clique, so it has 26 neighbours
     a = analyze(9)
     vertex_cliques = ((0,),) * 27 + ((),) * (a.graph.num_vertices - 27)
-    broken = _with_graph(a, cliques=(tuple(range(27)),), vertex_cliques=vertex_cliques)
+    broken = _with_graph(a, cliques=rows_of((range(27),)), vertex_cliques=rows_of(vertex_cliques))
     assert CHECKS["clique_oracle"](broken) == (False, "vertex 0 exceeds the oracle degree bound")
 
 

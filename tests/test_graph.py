@@ -9,6 +9,7 @@ from partition_axis import UNREACHABLE, bfs_distances, build_graph
 from partition_axis.checks import _check_conjugation_automorphism
 from partition_axis.invariants import DEG
 
+from layout import as_tuples, with_conj
 from memo import analyze
 from oracles import (
     bfs_distances_by_rows,
@@ -60,7 +61,7 @@ GRAPH_SHA256 = {
 @pytest.mark.parametrize("n", range(1, 31))
 def test_decoded_graph_is_pinned(n):
     g = analyze(n).graph
-    decoded = (tuple(map(tuple, g.vertices)), g.cliques, g.vertex_cliques, g.conj)
+    decoded = (tuple(map(tuple, g.vertices)), as_tuples(g.cliques), as_tuples(g.vertex_cliques), tuple(g.conj))
     assert hashlib.sha256(pickle.dumps(decoded, protocol=4)).hexdigest() == GRAPH_SHA256[n]
 
 
@@ -78,6 +79,18 @@ def test_bytes_vertices_take_at_most_two_fifths_of_tuples():
     assert as_bytes <= 0.4 * as_tuples
 
 
+def test_cover_arrays_take_at_most_a_quarter_of_tuples():
+    # The tuple form held a tuple per row, and an int object per vertex id
+    # and per clique id, shared by the rows.
+    g = analyze(30).graph
+    rows = (g.cliques, g.vertex_cliques)
+    flat = sum(sys.getsizeof(r.members) + sys.getsizeof(r.starts) for r in rows)
+    decoded = [as_tuples(r) for r in rows]
+    tuples = sum(sys.getsizeof(ts) + sum(map(sys.getsizeof, ts)) for ts in decoded)
+    ints = sum(map(sys.getsizeof, range(g.num_vertices))) + sum(map(sys.getsizeof, range(len(g.cliques))))
+    assert flat <= (tuples + ints) / 4
+
+
 def test_rejects_invalid_n():
     with pytest.raises(ValueError):
         build_graph(0)
@@ -87,21 +100,21 @@ def test_n1_single_isolated_vertex():
     g = build_graph(1)
     assert g.vertices == (bytes((1,)),)
     assert g.adjacency == ((),)
-    assert g.conj == (0,)
+    assert tuple(g.conj) == (0,)
 
 
 def test_n2_conjugate_pair():
     g = build_graph(2)
     assert g.num_vertices == 2
     assert g.num_edges == 1
-    assert g.conj == (1, 0)
+    assert tuple(g.conj) == (1, 0)
     assert g.adjacency == ((1,), (0,))
 
 
 @pytest.mark.parametrize("n", range(1, 19))
 def test_equals_brute_force_graph(n):
     g = build_graph(n)
-    assert (tuple(map(tuple, g.vertices)), g.adjacency, g.conj) == graph_by_brute_force(n)
+    assert (tuple(map(tuple, g.vertices)), g.adjacency, tuple(g.conj)) == graph_by_brute_force(n)
 
 
 @pytest.mark.parametrize("n", range(1, 19))
@@ -176,7 +189,7 @@ def test_conjugation_automorphism_check_reports_first_broken_edge():
     a = analyze(12)
     conj = list(a.graph.conj)
     conj[0], conj[1] = conj[1], conj[0]
-    broken = replace(a, graph=replace(a.graph, conj=tuple(conj)))
+    broken = replace(a, graph=with_conj(a.graph, conj))
     assert _check_conjugation_automorphism(a) == (True, "")
     assert _check_conjugation_automorphism(broken) == (
         False, "edge (11,1,10,2) breaks under conjugation"
@@ -203,25 +216,26 @@ def test_conj_is_involutive_automorphism():
 @pytest.mark.parametrize("n", [*range(1, 31), 35])
 def test_conj_equals_per_vertex_lookup(n):
     g = build_graph(n)
-    assert g.conj == conj_by_lookup(g)
+    assert tuple(g.conj) == conj_by_lookup(g)
 
 
 @pytest.mark.parametrize("n", range(1, 21))
 def test_conjugation_reverses_clique_members_and_vertex_cliques(n):
     # Transposition maps the clique of nu onto that of its conjugate nu'
     # with the members in reverse order, and the cliques through lambda
-    # onto those through lambda' in reverse order; build_graph reads conj
-    # off the cover by these two laws.
+    # onto those through lambda' in reverse order; PartitionGraph.conj is
+    # read off the cover by the first law and the order of the second.
     g = build_graph(n)
     conj = conj_by_lookup(g)
-    clique_ids = {frozenset(members): k for k, members in enumerate(g.cliques)}
+    cliques, vertex_cliques = as_tuples(g.cliques), as_tuples(g.vertex_cliques)
+    clique_ids = {frozenset(members): k for k, members in enumerate(cliques)}
     images = []
-    for members in g.cliques:
+    for members in cliques:
         image = clique_ids[frozenset(conj[v] for v in members)]
-        assert g.cliques[image] == tuple(conj[v] for v in reversed(members))
+        assert cliques[image] == tuple(conj[v] for v in reversed(members))
         images.append(image)
-    for u, ks in enumerate(g.vertex_cliques):
-        assert g.vertex_cliques[conj[u]] == tuple(images[k] for k in reversed(ks))
+    for u, ks in enumerate(vertex_cliques):
+        assert vertex_cliques[conj[u]] == tuple(images[k] for k in reversed(ks))
 
 
 def test_max_degree_n10():

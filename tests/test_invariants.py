@@ -14,6 +14,7 @@ from partition_axis.checks import _check_argmax_symmetry, _check_dim_shift
 from partition_axis.graph import UNREACHABLE
 from partition_axis.invariants import DEG, DIM_LOC, INVARIANTS, OMEGA_LOC, _enclosing_radius
 
+from layout import with_conj
 from memo import analyze
 from oracles import local_clique_number_by_moves, local_clique_numbers_by_search
 
@@ -197,7 +198,7 @@ class TestArgmaxSymmetry:
         # With an involutive conj an off-axis closed set is even, so the
         # parity clause needs a tampered conj: a 3-cycle with no fixed point.
         a = analyze(3)
-        graph = replace(a.graph, conj=(1, 2, 0))
+        graph = with_conj(a.graph, (1, 2, 0))
         deg = replace(a.profiles[DEG], argmax=frozenset({0, 1, 2}))
         broken = replace(a, graph=graph, profiles={**a.profiles, DEG: deg})
         assert _check_argmax_symmetry(broken) == (False, "deg: odd argmax avoids the axis")

@@ -1,6 +1,7 @@
 import ast
 import importlib
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -131,3 +132,32 @@ def test_bench_tracer_targets_exist():
     ]
     assert missing == []
     assert set(tracer.CHECK_NAMES) <= {name for name, *_ in checks._CHECKS}
+
+
+def test_bench_tracer_counts_the_cover():
+    # A traced job counts graph.edges and graph.max_deg on every built
+    # graph; run in a child, since install() replaces library functions.
+    bench = Path(__file__).resolve().parents[1] / "bench"
+    code = (
+        "import json, sys\n"
+        f"sys.path.insert(0, {str(bench)!r})\n"
+        "from tracer import Tracer\n"
+        "from partition_axis import pipeline\n"
+        "tracer = Tracer()\n"
+        "tracer.install()\n"
+        "g = pipeline.analyze(12).graph\n"
+        "cliques = [tuple(c) for c in g.cliques]\n"
+        "edges = sum(len(c) * (len(c) - 1) // 2 for c in cliques)\n"
+        "max_deg = max(sum(len(cliques[k]) - 1 for k in ks) for ks in g.vertex_cliques)\n"
+        "print(json.dumps([tracer.counts['graph.edges'], tracer.counts['graph.max_deg'], edges, max_deg]))\n"
+    )
+    path = os.pathsep.join(filter(None, [str(SOURCE_DIR.parent), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    traced_edges, traced_max_deg, edges, max_deg = json.loads(out)
+    assert (traced_edges, traced_max_deg) == (edges, max_deg)

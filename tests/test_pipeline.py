@@ -3,9 +3,10 @@ import weakref
 
 import pytest
 
-from partition_axis import axial_geometry, build_graph, central_region, checks, exports, pipeline, report
+from partition_axis import axial_geometry, build_graph, central_region, checks, exports, graph, pipeline, report
 from partition_axis.checks import verify_range
 from partition_axis.exports import export_graph
+from partition_axis.partitions import MAX_N
 from partition_axis.report import run_range
 
 RANGE = (1, 12)
@@ -46,6 +47,31 @@ def test_report_and_geometry_paths_build_no_adjacency_rows(n):
     g = build_graph(n)
     central_region(axial_geometry(g), 1)
     assert "adjacency" not in vars(g)
+
+
+@pytest.mark.parametrize("n", [2, 9, 16, 24])
+def test_report_and_geometry_paths_compute_no_conj(n):
+    # The axis is read off the parts; conj is computed on first use, and
+    # only verify's checks use it.
+    assert "conj" not in vars(pipeline.analyze(n).graph)
+    g = build_graph(n)
+    central_region(axial_geometry(g), 1)
+    assert "conj" not in vars(g)
+
+
+@pytest.mark.parametrize("n_min, n_max", [(1, MAX_N + 45), (MAX_N + 1, MAX_N + 1)])
+@pytest.mark.parametrize("run", [
+    lambda n_min, n_max, out_dir: run_range(n_min, n_max, out_dir),
+    lambda n_min, n_max, out_dir: verify_range(n_min, n_max),
+], ids=["report", "verify"])
+def test_range_past_max_n_is_rejected_before_any_work(run, n_min, n_max, tmp_path, monkeypatch):
+    def refuse(n):
+        raise AssertionError(f"enumeration started for n = {n}")
+
+    monkeypatch.setattr(graph, "enumerate_partitions", refuse)
+    with pytest.raises(ValueError, match=f"at most {MAX_N}"):
+        run(n_min, n_max, tmp_path / "x" / "out")
+    assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("n", [2, 9, 16])
