@@ -169,44 +169,66 @@ def build_graph(n: int) -> PartitionGraph:
     cliques and has degree sum(|K| - 1) over them.
 
     Each nu is visited once, as ``lam[:-1]`` for the vertex ``lam`` that
-    ends in 1; ``lam`` is nu's new-part cover, and the others are looked
-    up in the index, each key built once from a bytearray copy of nu with
-    one entry raised. A cell added higher up gives a lexicographically larger
-    partition, so each clique comes out in ascending vertex order, and
-    the new-part cover last. Clique ids follow nu in reverse-lex order,
-    since appending a 1 keeps lexicographic order, so each vertex's
-    clique ids come out ascending too: its row is sized k(lambda) in
-    advance and filled from a cursor.
+    ends in 1; ``lam`` is nu's new-part cover, at its own position, and
+    each other cover nu + e_j is found by a forward scan of ``vertices``
+    (``tuple.index`` from a start id), its key built once from a
+    bytearray copy of nu with one entry raised. No index from partitions
+    to ids is built. Two facts bound where each scan starts:
+
+    - Adding e_j strictly preserves lexicographic order. Zero-padded, nu
+      and nu* first differ at some index i; adding 1 at index j to both
+      leaves their difference unchanged, so nu + e_j and nu* + e_j first
+      differ at i, in the same direction. Bytes compare as the
+      zero-padded vectors do, parts being positive. The nu are visited
+      in descending order (appending a 1 keeps lexicographic order), so
+      for each fixed row j the ids of the covers nu + e_j rise strictly,
+      and row j's scan starts one past the last cover it found.
+    - Within a clique, nu + e_a > nu + e_b for a < b: they first differ
+      at index a, where the first is one larger. So a cell added higher
+      up gives a smaller id, the members come out ascending, and each
+      scan also starts one past the clique's previous member.
+
+    The scan starts at the larger bound and cannot miss: the cover is a
+    vertex at or past both. The new-part cover comes last in its clique.
+    Clique ids follow nu in descending order, so each vertex's clique ids
+    come out ascending too: its row is sized k(lambda) in advance and
+    filled from a cursor. Each incidence is one clique membership, so
+    ``members`` is sized in advance as well.
     """
     vertices = tuple(enumerate_partitions(n))
-    index = {p: i for i, p in enumerate(vertices)}
+    find = vertices.index
     firsts = array("i", accumulate(map(len, map(set, vertices)), initial=0))
     cursor = firsts[:-1]
     through = array("i", [0]) * firsts[-1]
-    members = array("i")
+    members = array("i", [0]) * firsts[-1]
     starts = array("i", [0])
-    for lam, new_row in index.items():
+    past = [0] * n
+    m = 0
+    for new_row, lam in enumerate(vertices):
         if lam[-1] != 1:
             continue
         k = len(starts) - 1
         nu = bytearray(lam)
         del nu[-1]
-        above = 0
+        above = lo = 0
         for j, v in enumerate(nu):
             if v != above:
                 nu[j] = v + 1
-                u = index[bytes(nu)]
+                u = find(bytes(nu), past[j] if past[j] > lo else lo)
                 nu[j] = v
-                members.append(u)
+                past[j] = lo = u + 1
+                members[m] = u
+                m += 1
                 at = cursor[u]
                 through[at] = k
                 cursor[u] = at + 1
             above = v
-        members.append(new_row)
+        members[m] = new_row
+        m += 1
         at = cursor[new_row]
         through[at] = k
         cursor[new_row] = at + 1
-        starts.append(len(members))
+        starts.append(m)
     return PartitionGraph(
         n=n,
         vertices=vertices,

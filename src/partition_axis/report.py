@@ -90,15 +90,17 @@ def compute_summaries(n_min: int, n_max: int, threads: int = 1) -> list[RangeSum
     """Per-n summaries in ascending n, optionally on a process pool.
 
     The pool gets the largest (slowest) n first, so the last job to start
-    is a short one.
+    is a short one. It has no more workers than the range has n, since a
+    forked pool starts every worker up front; one worker runs in process.
     """
     ns = range(n_min, n_max + 1)
-    if threads > 1:
+    workers = min(threads, len(ns))
+    if workers > 1:
         # Imported here: it loads multiprocessing, socket and pickle, which
         # a one-worker run and every verify or export start would pay for.
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = {n: pool.submit(_timed_summary, n) for n in reversed(ns)}
             return [futures[n].result() for n in ns]
     return [_timed_summary(n) for n in ns]

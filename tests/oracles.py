@@ -15,7 +15,9 @@ than the index-pair form, so the tests compare build_graph's rows with
 it for n = 19..30 and the degrees for n <= 30. ``conj_by_lookup`` is
 the exception: it transposes each vertex with the library's
 ``conjugate``, as the slow twin of build_graph reading conj off the
-clique cover.
+clique cover. ``build_graph_by_index`` builds the same cover with each
+upper cover looked up in a dict from partition to id, where build_graph
+scans the vertex tuple forward; tests compare the two array by array.
 
 Partitions here are tuples of ints, while the library's vertices are
 bytes, one byte per part; both iterate and index as ints, so an oracle
@@ -30,14 +32,18 @@ the cell set; tests compare the two verdicts.
 
 from __future__ import annotations
 
+from array import array
 from collections import Counter, deque
-from itertools import zip_longest
+from itertools import accumulate, zip_longest
 
 from partition_axis import (
     UNREACHABLE,
+    PartitionGraph,
+    Rows,
     bfs_distances,
     central_region,
     conjugate,
+    enumerate_partitions,
     format_partition,
 )
 
@@ -152,6 +158,46 @@ def conj_by_lookup(g):
     the library's ``conjugate`` and looked up in a vertex index."""
     index = {p: i for i, p in enumerate(g.vertices)}
     return tuple(index[conjugate(p)] for p in g.vertices)
+
+
+def build_graph_by_index(n):
+    """build_graph's clique cover with every upper cover of nu looked up
+    in a dict from partition to vertex id."""
+    vertices = tuple(enumerate_partitions(n))
+    index = {p: i for i, p in enumerate(vertices)}
+    firsts = array("i", accumulate(map(len, map(set, vertices)), initial=0))
+    cursor = firsts[:-1]
+    through = array("i", [0]) * firsts[-1]
+    members = array("i")
+    starts = array("i", [0])
+    for lam, new_row in index.items():
+        if lam[-1] != 1:
+            continue
+        k = len(starts) - 1
+        nu = bytearray(lam)
+        del nu[-1]
+        above = 0
+        for j, v in enumerate(nu):
+            if v != above:
+                nu[j] = v + 1
+                u = index[bytes(nu)]
+                nu[j] = v
+                members.append(u)
+                at = cursor[u]
+                through[at] = k
+                cursor[u] = at + 1
+            above = v
+        members.append(new_row)
+        at = cursor[new_row]
+        through[at] = k
+        cursor[new_row] = at + 1
+        starts.append(len(members))
+    return PartitionGraph(
+        n=n,
+        vertices=vertices,
+        cliques=Rows(members, starts),
+        vertex_cliques=Rows(through, firsts),
+    )
 
 
 def is_downward_closed(cell_set):

@@ -1,6 +1,7 @@
 import hashlib
 import pickle
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -13,6 +14,7 @@ from layout import as_tuples, with_conj
 from memo import analyze
 from oracles import (
     bfs_distances_by_rows,
+    build_graph_by_index,
     conj_by_lookup,
     graph_by_brute_force,
     naive_transfer_neighbors,
@@ -89,6 +91,30 @@ def test_cover_arrays_take_at_most_a_quarter_of_tuples():
     tuples = sum(sys.getsizeof(ts) + sum(map(sys.getsizeof, ts)) for ts in decoded)
     ints = sum(map(sys.getsizeof, range(g.num_vertices))) + sum(map(sys.getsizeof, range(len(g.cliques))))
     assert flat <= (tuples + ints) / 4
+
+
+@pytest.mark.parametrize("n", [*range(1, 31), 35, 40])
+def test_scanned_cover_equals_dict_index_twin(n):
+    g, twin = build_graph(n), build_graph_by_index(n)
+    assert g.vertices == twin.vertices
+    assert g.cliques.members == twin.cliques.members
+    assert g.cliques.starts == twin.cliques.starts
+    assert g.vertex_cliques.members == twin.vertex_cliques.members
+    assert g.vertex_cliques.starts == twin.vertex_cliques.starts
+
+
+def test_build_peak_is_within_fifteen_percent_of_what_the_graph_keeps():
+    # The covers are found by scanning the vertex tuple, so no index from
+    # partitions to ids (a dict entry and an int object per vertex) is
+    # alive beside the graph; with one, the peak is 1.9 times the graph.
+    tracemalloc.start()
+    try:
+        g = build_graph(30)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert g.num_vertices == 5604
+    assert peak <= 1.15 * kept
 
 
 def test_rejects_invalid_n():

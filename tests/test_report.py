@@ -163,6 +163,17 @@ class TestRunRange:
         for name in ("basic_axial.csv", "extremal_location.csv", "shells.csv"):
             assert (serial / name).read_bytes() == (parallel / name).read_bytes()
 
+    def test_single_n_with_two_threads_starts_no_pool(self, monkeypatch):
+        # A forked pool starts all its workers up front, so a range of
+        # one n runs in process whatever the thread count.
+        import concurrent.futures
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a process pool was started")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+        assert [s.n for s in compute_summaries(5, 5, threads=2)] == [5]
+
 
 class TestAgainstGoldenRows:
     def test_first_ten_basic_rows(self):
