@@ -202,16 +202,15 @@ def _transfer_count(parts: Partition) -> int:
 
 
 def _check_degree_sum(a: GraphAnalysis) -> Outcome:
-    # Each vertex's cover degree, the sum of |K| - 1 over its cliques, is
-    # its transfer count; the degrees add up to twice the edge count.
+    # Each recorded degree, the one export prints and report ranks, is its
+    # vertex's transfer count; the degrees add up to twice the edge count
+    # read off the clique sizes.
     g = a.graph
-    sizes = g.incidence_sizes
-    total = 0
-    for parts, (lo, hi) in zip(g.vertices, pairwise(g.vertex_cliques.starts)):
-        deg = sum(sizes[lo:hi]) - (hi - lo)
+    degrees = a.profiles[DEG].values
+    for parts, deg in zip(g.vertices, degrees):
         if deg != _transfer_count(parts):
             return False, f"{format_partition(parts)} has cover degree {deg}, closed form {_transfer_count(parts)}"
-        total += deg
+    total = sum(degrees)
     ok = total == 2 * g.num_edges
     return ok, "" if ok else f"degree sum {total} != 2*{g.num_edges}"
 
@@ -383,23 +382,36 @@ def _check_distance_conj_invariant(a: GraphAnalysis) -> Outcome:
 
 
 def _check_radius_comparison(a: GraphAnalysis) -> Outcome:
+    geom = a.geometry
     for inv in INVARIANTS:
         prof = a.profiles[inv]
         if prof.rho_ax is None or prof.rho_sp is None:
             return False, f"{inv}: radius undefined (maximizer unreachable from axis)"
         if not (prof.rho_sp <= prof.rho_ax <= prof.rho_sp + 1):
             return False, f"{inv}: rho_ax={prof.rho_ax}, rho_sp={prof.rho_sp}"
+        # Each radius is the farthest recorded distance of a maximizer.
+        ax = max(geom.ax_dist[v] for v in prof.argmax)
+        sp = max(geom.sp_dist[v] for v in prof.argmax)
+        if (prof.rho_ax, prof.rho_sp) != (ax, sp):
+            return False, f"{inv}: radii ({prof.rho_ax},{prof.rho_sp}), but the argmax reaches ({ax},{sp})"
     return True, ""
 
 
 def _check_argmax_symmetry(a: GraphAnalysis) -> Outcome:
     conj = a.graph.conj
     for inv in INVARIANTS:
-        argmax = a.profiles[inv].argmax
+        prof = a.profiles[inv]
+        argmax = prof.argmax
         if frozenset(conj[v] for v in argmax) != argmax:
             return False, f"{inv}: argmax not conjugation-closed"
         if len(argmax) % 2 == 1 and not any(conj[v] == v for v in argmax):
             return False, f"{inv}: odd argmax avoids the axis"
+        # The recorded maximum and argmax are those of the recorded values.
+        top = max(prof.values)
+        if prof.max_value != top:
+            return False, f"{inv}: max {prof.max_value}, but the values peak at {top}"
+        if argmax != frozenset(compress(count(), map(top.__eq__, prof.values))):
+            return False, f"{inv}: argmax is not the set of vertices at {top}"
     return True, ""
 
 

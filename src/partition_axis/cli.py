@@ -47,13 +47,19 @@ def main(argv: list[str] | None = None) -> int:
         check_range(args.n_min, args.n_max)
     except ValueError as exc:
         parser.error(str(exc))
-    out_dir = getattr(args, "out_dir", None)
-    if out_dir is not None:
-        # mkdir fails unless the nearest existing ancestor is a directory.
-        nearest = next((p for p in (out_dir, *out_dir.parents) if p.exists()), None)
-        if nearest is not None and not nearest.is_dir():
-            parser.error(f"--out-dir {out_dir}: {nearest} exists and is not a directory")
 
+    if args.command == "verify":
+        results = verify_range(args.n_min, args.n_max)
+        for result in results:
+            print(result.line())
+        failures = sum(1 for r in results if r.failed)
+        print(f"{len(results)} checks, {failures} failures")
+        return 1 if failures else 0
+
+    # mkdir fails unless the nearest existing ancestor is a directory.
+    nearest = next((p for p in (args.out_dir, *args.out_dir.parents) if p.exists()), None)
+    if nearest is not None and not nearest.is_dir():
+        parser.error(f"--out-dir {args.out_dir}: {nearest} exists and is not a directory")
     if args.command == "report":
         max_threads = os.cpu_count() or 1
         if not 1 <= args.threads <= max_threads:
@@ -64,31 +70,21 @@ def main(argv: list[str] | None = None) -> int:
                 "no golden data exists there",
                 file=sys.stderr,
             )
-        try:
+    try:
+        if args.command == "report":
             written = run_range(args.n_min, args.n_max, args.out_dir, threads=args.threads)
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+        else:
+            # Each graph file is written, and its path printed, in turn.
+            written = (
+                export_graph(n, args.format, args.out_dir / f"graph_{n}.{args.format}")
+                for n in range(args.n_min, args.n_max + 1)
+            )
         for path in written:
             print(path)
-        return 0
-
-    if args.command == "export":
-        try:
-            for n in range(args.n_min, args.n_max + 1):
-                path = args.out_dir / f"graph_{n}.{args.format}"
-                print(export_graph(n, args.format, path))
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        return 0
-
-    results = verify_range(args.n_min, args.n_max)
-    for result in results:
-        print(result.line())
-    failures = sum(1 for r in results if r.failed)
-    print(f"{len(results)} checks, {failures} failures")
-    return 1 if failures else 0
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":

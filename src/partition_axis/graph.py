@@ -47,8 +47,7 @@ class Rows:
         return len(self.starts) - 1
 
     def __getitem__(self, i: int) -> memoryview:
-        if i < 0:
-            i += len(self)
+        i = range(len(self))[i]  # IndexError out of range, as for a tuple
         starts = self.starts
         return memoryview(self.members)[starts[i] : starts[i + 1]]
 
@@ -81,19 +80,17 @@ class PartitionGraph:
 
     @property
     def num_edges(self) -> int:
-        return sum(s * (s - 1) for s in self.clique_sizes) // 2
-
-    @cached_property
-    def clique_sizes(self) -> bytes:
-        """|K| for each clique K; k(nu) + 1 <= n, so one byte each."""
         starts = self.cliques.starts
-        return bytes(map(sub, islice(starts, 1, None), starts))
+        return sum(s * (s - 1) for s in map(sub, islice(starts, 1, None), starts)) // 2
 
     @cached_property
     def incidence_sizes(self) -> bytes:
-        """``clique_sizes`` laid out as ``vertex_cliques.members``: vertex
-        u's slice holds the sizes of the cliques through u."""
-        return bytes(map(self.clique_sizes.__getitem__, self.vertex_cliques.members))
+        """|K| for each clique K, laid out as ``vertex_cliques.members``:
+        vertex u's slice holds the sizes of the cliques through u.
+        k(nu) + 1 <= n, so one byte each."""
+        starts = self.cliques.starts
+        sizes = bytes(map(sub, islice(starts, 1, None), starts))
+        return bytes(map(sizes.__getitem__, self.vertex_cliques.members))
 
     @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:

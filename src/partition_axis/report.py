@@ -16,6 +16,7 @@ import sys
 import time
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
+from itertools import chain
 from pathlib import Path
 
 from . import __version__
@@ -45,39 +46,43 @@ def ratio_4dp(numerator: int, denominator: int) -> str:
 
 @dataclass(frozen=True)
 class RangeSummary:
-    """Everything the CSV reports need for one n, as plain values."""
+    """One n's rows of the three CSV reports, and the seconds it took.
+
+    ``extremal`` holds one row per invariant, in INVARIANTS order;
+    ``shells`` holds none for axisless n, whose shells are empty.
+    """
 
     n: int
-    p: int
-    axial: bool
-    a: int
-    sigma: int
-    c1: int
-    extremal: dict[str, tuple[int, int, int, int | None, int | None]]
-    ax_shells: tuple[int, ...]
-    sp_shells: tuple[int, ...]
+    basic_axial: str
+    extremal: tuple[str, ...]
+    shells: tuple[str, ...]
     seconds: float
 
 
 def summarize(analysis: GraphAnalysis) -> RangeSummary:
-    geom = analysis.geometry
-    extremal = {}
+    n, p, geom = analysis.n, analysis.graph.num_vertices, analysis.geometry
+    # Cells that need an axis read UNDEFINED for axisless n.
+    axial = str if geom.is_axial else lambda cell: UNDEFINED
+    a, sigma, c1 = len(geom.axis), len(geom.spine), len(central_region(geom, 1))
+    basic_axial = ",".join(
+        [
+            str(n), str(p), "yes" if geom.is_axial else "no", str(a), axial(sigma), axial(c1),
+            ratio_4dp(a, p), axial(ratio_4dp(sigma, p)), axial(ratio_4dp(c1, p)),
+        ]
+    )
+    extremal = []
     for inv in INVARIANTS:
         prof = analysis.profiles[inv]
-        axis_hits = len(prof.argmax & geom.axis)
-        extremal[inv] = (prof.max_value, len(prof.argmax), axis_hits, prof.rho_ax, prof.rho_sp)
-    return RangeSummary(
-        n=analysis.n,
-        p=analysis.graph.num_vertices,
-        axial=geom.is_axial,
-        a=len(geom.axis),
-        sigma=len(geom.spine),
-        c1=len(central_region(geom, 1)),
-        extremal=extremal,
-        ax_shells=geom.ax_shells,
-        sp_shells=geom.sp_shells,
-        seconds=0.0,
+        hits, size = len(prof.argmax & geom.axis), len(prof.argmax)
+        extremal.append(
+            f"{n},{inv},{prof.max_value},{size},{axial(hits)},{axial(prof.rho_ax)},{axial(prof.rho_sp)}"
+        )
+    shells = tuple(
+        f"{n},{kind},{k},{count}"
+        for kind, counts in (("ax", geom.ax_shells), ("sp", geom.sp_shells))
+        for k, count in enumerate(counts)
     )
+    return RangeSummary(n, basic_axial, tuple(extremal), shells, seconds=0.0)
 
 
 def _timed_summary(n: int) -> RangeSummary:
@@ -106,50 +111,18 @@ def compute_summaries(n_min: int, n_max: int, threads: int = 1) -> list[RangeSum
     return [_timed_summary(n) for n in ns]
 
 
-def basic_axial_row(s: RangeSummary) -> str:
-    if s.axial:
-        return ",".join(
-            [
-                str(s.n), str(s.p), "yes", str(s.a), str(s.sigma), str(s.c1),
-                ratio_4dp(s.a, s.p), ratio_4dp(s.sigma, s.p), ratio_4dp(s.c1, s.p),
-            ]
-        )
-    return ",".join(
-        [str(s.n), str(s.p), "no", str(s.a), UNDEFINED, UNDEFINED,
-         ratio_4dp(s.a, s.p), UNDEFINED, UNDEFINED]
-    )
-
-
-def extremal_row(s: RangeSummary, invariant_id: str) -> str:
-    max_value, argmax_size, axis_hits, rho_ax, rho_sp = s.extremal[invariant_id]
-    tail = (
-        [str(axis_hits), str(rho_ax), str(rho_sp)]
-        if s.axial
-        else [UNDEFINED, UNDEFINED, UNDEFINED]
-    )
-    return ",".join([str(s.n), invariant_id, str(max_value), str(argmax_size)] + tail)
-
-
 def render_basic_axial(summaries: list[RangeSummary]) -> str:
-    lines = [BASIC_AXIAL_HEADER] + [basic_axial_row(s) for s in summaries]
-    return "\n".join(lines) + "\n"
+    return "\n".join([BASIC_AXIAL_HEADER, *(s.basic_axial for s in summaries)]) + "\n"
 
 
 def render_extremal_location(summaries: list[RangeSummary]) -> str:
     # Grouped by invariant, ascending n inside each block.
-    lines = [EXTREMAL_HEADER]
-    for inv in INVARIANTS:
-        lines += [extremal_row(s, inv) for s in summaries]
-    return "\n".join(lines) + "\n"
+    blocks = zip(*(s.extremal for s in summaries))
+    return "\n".join([EXTREMAL_HEADER, *chain.from_iterable(blocks)]) + "\n"
 
 
 def render_shells(summaries: list[RangeSummary]) -> str:
-    # Axisless n contribute no rows: their shells are empty.
-    lines = [SHELLS_HEADER]
-    for s in summaries:
-        for kind, shells in (("ax", s.ax_shells), ("sp", s.sp_shells)):
-            lines += [f"{s.n},{kind},{k},{count}" for k, count in enumerate(shells)]
-    return "\n".join(lines) + "\n"
+    return "\n".join([SHELLS_HEADER, *(row for s in summaries for row in s.shells)]) + "\n"
 
 
 def _sha256(data: bytes) -> str:

@@ -16,6 +16,7 @@ import pytest
 
 from partition_axis import UNREACHABLE, all_profiles, axial, axial_geometry, format_partition
 from partition_axis.checks import _CHECKS
+from partition_axis.invariants import DEG, DIM_LOC, OMEGA_LOC
 
 from layout import as_tuples, rows_of, with_conj
 from memo import analyze
@@ -50,12 +51,14 @@ def _drop_clique_member(a):
 
 
 def _drop_vertex_clique(a):
-    # (6,4,2) forgets its first clique
+    # (6,4,2) forgets its first clique, and the profiles are recomputed
+    # from the tampered cover, so its recorded degree drops with it
     g = a.graph
     u = g.vertices.index(bytes((6, 4, 2)))
     vertex_cliques = list(as_tuples(g.vertex_cliques))
     vertex_cliques[u] = vertex_cliques[u][1:]
-    return _with_graph(a, vertex_cliques=rows_of(vertex_cliques))
+    broken = replace(g, vertex_cliques=rows_of(vertex_cliques))
+    return replace(a, graph=broken, profiles=all_profiles(broken, a.geometry))
 
 
 def _swap_conj(a):
@@ -196,6 +199,61 @@ def test_shell_sums_compares_the_shells_with_the_distances():
         False, "axial shell 1 is 19, but 20 vertices lie at distance 1"
     )
     assert [name for name, fn in CHECKS.items() if not fn(broken)[0]] == ["shell_sums"]
+
+
+def _with_profile(a, inv, **fields):
+    return replace(a, profiles={**a.profiles, inv: replace(a.profiles[inv], **fields)})
+
+
+def test_degree_sum_reads_the_recorded_degrees():
+    # (12) records degree 2 for its one transfer. The cover is untouched,
+    # so a check that recomputed the degrees from it would pass; these are
+    # the degrees export prints and report ranks.
+    a = analyze(12)
+    degrees = a.profiles[DEG].values
+    broken = _with_profile(a, DEG, values=(degrees[0] + 1, *degrees[1:]))
+    assert CHECKS["degree_sum"](broken) == (False, "12 has cover degree 2, closed form 1")
+    assert [name for name, fn in CHECKS.items() if not fn(broken)[0]] == ["degree_sum"]
+
+
+def _raise_deg_max(a):
+    # deg peaks at 14, on (5,3,2,1,1) alone
+    return _with_profile(a, DEG, max_value=15)
+
+
+def _raise_deg_radii(a):
+    # (5,3,2,1,1) lies on the axis, so both radii are 0; 1 and 1 still
+    # satisfy rho_sp <= rho_ax <= rho_sp + 1 and the n <= 30 radius bounds
+    deg = a.profiles[DEG]
+    return _with_profile(a, DEG, rho_ax=deg.rho_ax + 1, rho_sp=deg.rho_sp + 1)
+
+
+def _drop_argmax_pair(a):
+    # (6,3,2,1) and its conjugate (4,3,2,1,1,1) leave both clique argmax
+    # sets; what is left is still conjugation-closed, odd and on the axis
+    vertices = a.graph.vertices
+    pair = {vertices.index(bytes((6, 3, 2, 1))), vertices.index(bytes((4, 3, 2, 1, 1, 1)))}
+    argmax = a.profiles[OMEGA_LOC].argmax - pair
+    return _with_profile(_with_profile(a, OMEGA_LOC, argmax=argmax), DIM_LOC, argmax=argmax)
+
+
+EXTREMAL_TAMPERED = {
+    "deg_max_raised": (_raise_deg_max, "argmax_symmetry", "deg: max 15, but the values peak at 14"),
+    "deg_radii_raised": (_raise_deg_radii, "radius_comparison", "deg: radii (1,1), but the argmax reaches (0,0)"),
+    "clique_argmax_pair_dropped": (
+        _drop_argmax_pair, "argmax_symmetry", "omega_loc: argmax is not the set of vertices at 5"
+    ),
+}
+
+
+@pytest.mark.parametrize("tamper_name", sorted(EXTREMAL_TAMPERED))
+def test_extremal_table_is_rederived(tamper_name):
+    # Each tamper changes a cell of extremal_location.csv at n = 12 and
+    # keeps every other check's premises, so one check alone rejects it.
+    tamper, name, detail = EXTREMAL_TAMPERED[tamper_name]
+    broken = tamper(analyze(12))
+    assert CHECKS[name](broken) == (False, detail)
+    assert [check for check, fn in CHECKS.items() if not fn(broken)[0]] == [name]
 
 
 def test_clique_oracle_names_a_vertex_past_the_degree_bound():

@@ -64,6 +64,22 @@ def test_out_dir_naming_a_file_is_usage_error(command, tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["taken"]
 
 
+@pytest.mark.parametrize("command", [
+    ["report"],
+    ["export", "--format", "graphml"],
+])
+def test_failed_write_is_one_error_line_and_exit_1(command, tmp_path, monkeypatch, capsys):
+    def refuse(src, dst):
+        raise OSError("replace refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    assert main(command + ["--n-min", "1", "--n-max", "3", "--out-dir", str(tmp_path)]) == 1
+    out = capsys.readouterr()
+    assert out.err.startswith("error:")
+    assert out.err == "error: replace refused\n"  # no traceback
+    assert out.out == ""
+
+
 def test_export_unsupported_format_is_usage_error(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["export", "--n-min", "4", "--n-max", "4",

@@ -187,6 +187,20 @@ def test_adjacent_iff_componentwise_minimum_has_size_n_minus_1(n):
             assert (mu in neighbors) == (sum(map(min, padded)) == n - 1), (lam, mu)
 
 
+def test_rows_index_like_a_tuple():
+    # In range, a negative index counts from the end; out of range, either
+    # way, raises IndexError rather than reading across the starts array.
+    g = analyze(6).graph
+    for rows in (g.cliques, g.vertex_cliques):
+        decoded = as_tuples(rows)
+        size = len(decoded)
+        for i in (0, size - 1, -1, -size):
+            assert tuple(rows[i]) == decoded[i]
+        for i in (size, -size - 1):
+            with pytest.raises(IndexError):
+                rows[i]
+
+
 def test_vertices_in_enumeration_order_with_index():
     g = build_graph(6)
     for i, parts in enumerate(g.vertices):

@@ -27,6 +27,31 @@ def test_no_assert_statements_in_source():
     assert found == []
 
 
+def test_cli_output_is_the_same_under_python_O(tmp_path):
+    # verify's lines and report's stdout and CSV bytes, with and without
+    # `python -O`; each run writes to ./out in its own directory.
+    path = os.pathsep.join(filter(None, [str(SOURCE_DIR.parent), os.environ.get("PYTHONPATH")]))
+    csvs = ("basic_axial.csv", "extremal_location.csv", "shells.csv")
+    outputs = []
+    for flags in ([], ["-O"]):
+        cwd = tmp_path / ("optimized" if flags else "plain")
+        cwd.mkdir()
+        stdout = [
+            subprocess.run(
+                [sys.executable, *flags, "-m", "partition_axis.cli", *args, "--n-min", "1", "--n-max", "12"],
+                cwd=cwd,
+                env={**os.environ, "PYTHONPATH": path},
+                capture_output=True,
+                text=True,
+                check=True,
+            ).stdout
+            for args in (["verify"], ["report", "--out-dir", "out"])
+        ]
+        outputs.append((stdout, [(cwd / "out" / name).read_bytes() for name in csvs]))
+    assert outputs[0][0][0].endswith("checks, 0 failures\n")
+    assert outputs[0] == outputs[1]
+
+
 def test_no_function_calls_itself_in_source():
     # Recursion depth grows with n, so a deep enough n raises RecursionError.
     found = []

@@ -5,13 +5,12 @@ from pathlib import Path
 
 import pytest
 
+from partition_axis.invariants import INVARIANTS
 from partition_axis.report import (
     BASIC_AXIAL_HEADER,
     EXTREMAL_HEADER,
     SHELLS_HEADER,
-    basic_axial_row,
     compute_summaries,
-    extremal_row,
     ratio_4dp,
     render_basic_axial,
     render_extremal_location,
@@ -23,6 +22,7 @@ from partition_axis.report import (
 from memo import analyze
 
 GOLDEN = Path(__file__).parent / "golden"
+DEG = INVARIANTS.index("deg")  # the deg row's place in RangeSummary.extremal
 
 
 class TestRatio:
@@ -49,19 +49,19 @@ class TestRatio:
 class TestRows:
     def test_n8_row(self):
         s = summarize(analyze(8))
-        assert basic_axial_row(s) == "8,22,yes,2,6,10,0.0909,0.2727,0.4545"
+        assert s.basic_axial == "8,22,yes,2,6,10,0.0909,0.2727,0.4545"
 
     def test_axisless_row(self):
         s = summarize(analyze(2))
-        assert basic_axial_row(s) == "2,2,no,0,--,--,0.0000,--,--"
+        assert s.basic_axial == "2,2,no,0,--,--,0.0000,--,--"
 
     def test_extremal_row_n14_deg(self):
         s = summarize(analyze(14))
-        assert extremal_row(s, "deg") == "14,deg,15,2,0,1,0"
+        assert s.extremal[DEG] == "14,deg,15,2,0,1,0"
 
     def test_extremal_row_axisless(self):
         s = summarize(analyze(2))
-        assert extremal_row(s, "deg") == "2,deg,1,2,--,--,--"
+        assert s.extremal[DEG] == "2,deg,1,2,--,--,--"
 
 
 class TestRendering:
@@ -185,5 +185,5 @@ class TestAgainstGoldenRows:
         golden = set((GOLDEN / "extremal_location.csv").read_text().splitlines())
         s13 = summarize(analyze(13))
         s2 = summarize(analyze(2))
-        assert extremal_row(s13, "deg") in golden
-        assert extremal_row(s2, "omega_loc") in golden
+        assert s13.extremal[DEG] in golden
+        assert s2.extremal[INVARIANTS.index("omega_loc")] in golden
