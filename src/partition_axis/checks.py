@@ -89,12 +89,12 @@ def _check_partition_count(a: GraphAnalysis) -> Outcome:
 def _check_adjacency_symmetric_irreflexive(a: GraphAnalysis) -> Outcome:
     # The cover is G_n's: each clique lists, strictly ascending, the
     # k(nu) + 1 upper covers of its members' componentwise minimum
-    # nu |- n-1 (map's truncation drops the zero padding), no two cliques
-    # are equal (so no nu comes twice), and vertex_cliques is its
-    # transpose, with k(lambda) cliques per vertex, one per lower cover.
-    # By the covering lemma in build_graph its cliques then hold every
-    # edge exactly once, so the rows read off it are symmetric and
-    # irreflexive.
+    # nu |- n-1 (map's truncation drops the zero padding), the nu fall
+    # strictly from each clique to the next (so no nu comes twice and no
+    # two cliques are equal), and vertex_cliques is its transpose, with
+    # k(lambda) cliques per vertex, one per lower cover. By the covering
+    # lemma in build_graph its cliques then hold every edge exactly once,
+    # so the rows read off it are symmetric and irreflexive.
     g = a.graph
     vertices = g.vertices
     through, firsts = g.vertex_cliques.members, g.vertex_cliques.starts
@@ -102,22 +102,23 @@ def _check_adjacency_symmetric_irreflexive(a: GraphAnalysis) -> Outcome:
     # them in that order: cursor[u] is where the next clique through u
     # is due, and at the end every row is used up.
     cursor, ends = firsts[:-1], firsts[1:]
+    above = bytes((a.n,))  # the previous clique's nu; (n) is above every nu
     for k, members in enumerate(g.cliques):
         if not all(map(lt, members, members[1:])):
             return False, f"clique {k} is not strictly ascending"
-        # A lone member is the cover (1) of nu = (), at n = 1. nu is a list:
-        # freed tuples stay on CPython's per-length free lists, which held
-        # about 0.45 MiB of them after this loop at n = 30.
-        nu = list(map(min, *map(vertices.__getitem__, members))) if len(members) > 1 else []
+        # A lone member is the cover (1) of nu = (), at n = 1. nu is bytes,
+        # one object, as the vertices are.
+        nu = bytes(map(min, *map(vertices.__getitem__, members))) if len(members) > 1 else b""
         if sum(nu) != a.n - 1 or len(members) != len(set(nu)) + 1:
             return False, f"clique {k} is not the upper covers of one partition of n-1"
+        if not nu < above:
+            return False, f"clique {k} does not cover a partition of n-1 below clique {k - 1}'s"
+        above = nu
         for u in members:
             at = cursor[u]
             if at == ends[u] or through[at] != k:
                 return False, f"clique {k} is missing from vertex_cliques"
             cursor[u] = at + 1
-    if len(set(map(memoryview.tobytes, g.cliques))) != len(g.cliques):
-        return False, "two cliques cover one partition of n-1"
     lengths = list(map(sub, ends, firsts))
     if cursor != ends or lengths != list(map(len, map(set, vertices))):
         u = next(u for u, parts in enumerate(vertices) if cursor[u] != ends[u] or lengths[u] != len(set(parts)))
@@ -303,12 +304,15 @@ def _check_mediator_distance_one(a: GraphAnalysis) -> Outcome:
 
 
 def _check_spine_sandwich(a: GraphAnalysis) -> Outcome:
+    # Ax <= Sp <= C^(1), read per vertex: every spine vertex lies at
+    # axial distance 0 or 1.
     geom = a.geometry
-    narrow = central_region(geom, 1)
     if not geom.axis <= geom.spine:
         return False, "axis not contained in spine"
-    if not geom.spine <= narrow:
-        return False, "spine escapes the narrow central region"
+    far = [v for v in geom.spine if not 0 <= geom.ax_dist[v] <= 1]
+    if far:
+        v = min(far)
+        return False, f"spine vertex {format_partition(a.graph.vertices[v])} at axial distance {geom.ax_dist[v]}"
     return True, ""
 
 
@@ -338,15 +342,19 @@ def _check_spine_membership(a: GraphAnalysis) -> Outcome:
 
 
 def _check_filtration_sandwich(a: GraphAnalysis) -> Outcome:
+    # C^(r) <= thick(r) <= C^(r+1) for every r holds exactly when each
+    # vertex is reached from both or from neither, and a reached one has
+    # sp_dist <= ax_dist <= sp_dist + 1; G_n is connected, so with an
+    # axis every vertex is reached. The balls of radius 0 are the axis
+    # and the spine, so Ax <= Sp <= C^(1) is the case r = 0.
     geom = a.geometry
-    central = central_region(geom, 0)
-    for r in range(len(geom.ax_shells) + 1):
-        thick = thick_spine(geom, r)
-        if not central <= thick:
-            return False, f"central region r={r} escapes thick spine r={r}"
-        central = central_region(geom, r + 1)  # reused as step r+1's ball
-        if not thick <= central:
-            return False, f"thick spine r={r} escapes central region r={r + 1}"
+    if central_region(geom, 0) != geom.axis:
+        return False, "central region r=0 is not the axis"
+    if thick_spine(geom, 0) != geom.spine:
+        return False, "thick spine r=0 is not the spine"
+    for v, (ax, sp) in enumerate(zip(geom.ax_dist, geom.sp_dist)):
+        if not 0 <= sp <= ax <= sp + 1 and not ax == sp == UNREACHABLE:
+            return False, f"{format_partition(a.graph.vertices[v])} lies {ax} from the axis and {sp} from the spine"
     return True, ""
 
 

@@ -9,7 +9,7 @@ maximizer set and the smallest axial / spinal radii enclosing it.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import combinations, pairwise
+from itertools import pairwise
 
 from .axial import AxialGeometry
 from .graph import UNREACHABLE, PartitionGraph
@@ -23,7 +23,7 @@ ORACLE_DEGREE_LIMIT = 25
 
 
 class OracleInfeasibleError(ValueError):
-    """Vertex degree exceeds the brute-force subset enumeration bound."""
+    """Vertex degree exceeds the exhaustive clique search's bound."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,29 +62,28 @@ def local_clique_number(g: PartitionGraph, v: int) -> int:
 
 
 def local_clique_number_oracle(g: PartitionGraph, v: int) -> int:
-    """Same value as local_clique_number, by checking every subset of N(v).
+    """Same value as local_clique_number, by an exhaustive clique search
+    in N(v) that reads only adjacency rows.
 
-    Subsets are tried in increasing size; once no subset of size k is a
-    clique, no larger one can be, so the scan stops. Only feasible for
-    small degrees.
+    The cliques of N(v) are grown level by level, each listed once: a
+    clique of size k + 1 is one of size k extended by a common neighbour
+    larger than all its members. A clique is carried as the set of those
+    larger common neighbours, which is all its extensions need. The
+    search ends at the first empty level. Only feasible for small degrees.
     """
     neighborhood = g.adjacency[v]
     if len(neighborhood) > ORACLE_DEGREE_LIMIT:
         raise OracleInfeasibleError(
             f"deg={len(neighborhood)} exceeds oracle bound {ORACLE_DEGREE_LIMIT}"
         )
-    adj = {u: set(g.adjacency[u]) for u in neighborhood}
-    best = 0
-    for k in range(1, len(neighborhood) + 1):
-        found = False
-        for subset in combinations(neighborhood, k):
-            if all(b in adj[a] for a, b in combinations(subset, 2)):
-                found = True
-                break
-        if not found:
-            break
-        best = k
-    return 1 + best
+    inside = set(neighborhood)
+    later = {u: {w for w in g.adjacency[u] if w > u and w in inside} for u in neighborhood}
+    level = list(later.values())  # the cliques {u} of size 1
+    size = 0
+    while level:
+        size += 1
+        level = [common & later[w] for common in level for w in common]
+    return 1 + size
 
 
 def _enclosing_radius(argmax: frozenset[int], dist: tuple[int, ...]) -> int | None:

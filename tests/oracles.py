@@ -25,19 +25,23 @@ accepts either, and tests decode with ``tuple(v)`` or encode with
 ``bytes(...)`` where they compare the two.
 
 The ``*_by_rows`` checks at the end are the row-based forms of verify's
-checks that now read the clique cover, and
+checks that now read the clique cover,
 ``diagonal_corner_exclusivity_by_cells`` reads the diagonal corners off
-the cell set; tests compare the two verdicts.
+the cell set, and the ``*_by_balls`` checks compare the distance balls
+vertex set by vertex set where verify compares distances per vertex;
+tests compare the two verdicts. ``local_clique_number_by_subsets`` is
+the clique oracle's earlier form, which tries every subset of N(v).
 """
 
 from __future__ import annotations
 
 from array import array
 from collections import Counter, deque
-from itertools import accumulate, zip_longest
+from itertools import accumulate, combinations, zip_longest
 
 from partition_axis import (
     UNREACHABLE,
+    OracleInfeasibleError,
     PartitionGraph,
     Rows,
     bfs_distances,
@@ -45,7 +49,9 @@ from partition_axis import (
     conjugate,
     enumerate_partitions,
     format_partition,
+    thick_spine,
 )
+from partition_axis.invariants import ORACLE_DEGREE_LIMIT
 
 
 def cells(parts):
@@ -275,6 +281,32 @@ def local_clique_numbers_by_search(g):
     return [1 + _max_clique_size(row, rows) for row in rows]
 
 
+def local_clique_number_by_subsets(g, v):
+    """1 + the clique number of N(v), by trying every subset of N(v).
+
+    Subsets are tried in increasing size; once no subset of size k is a
+    clique, no larger one can be, so the scan stops. Only feasible for
+    small degrees.
+    """
+    neighborhood = g.adjacency[v]
+    if len(neighborhood) > ORACLE_DEGREE_LIMIT:
+        raise OracleInfeasibleError(
+            f"deg={len(neighborhood)} exceeds oracle bound {ORACLE_DEGREE_LIMIT}"
+        )
+    adj = {u: set(g.adjacency[u]) for u in neighborhood}
+    best = 0
+    for k in range(1, len(neighborhood) + 1):
+        found = False
+        for subset in combinations(neighborhood, k):
+            if all(b in adj[a] for a, b in combinations(subset, 2)):
+                found = True
+                break
+        if not found:
+            break
+        best = k
+    return 1 + best
+
+
 def transfer_moves(parts):
     """Distinct (donor size, receiver size) pairs of unit transfers, over
     every (donor index, receiver index) pair; receiver 0 is a newly
@@ -419,6 +451,32 @@ def spine_membership_by_rows(a):
     return True, ""
 
 
+def spine_sandwich_by_balls(a):
+    """Ax <= Sp <= C^(1), with C^(1) the ball of radius 1 around the axis."""
+    geom = a.geometry
+    narrow = central_region(geom, 1)
+    if not geom.axis <= geom.spine:
+        return False, "axis not contained in spine"
+    if not geom.spine <= narrow:
+        return False, "spine escapes the narrow central region"
+    return True, ""
+
+
+def filtration_sandwich_by_balls(a):
+    """C^(r) <= thick(r) <= C^(r+1) for r = 0 .. the axial eccentricity,
+    each ball built as a vertex set."""
+    geom = a.geometry
+    central = central_region(geom, 0)
+    for r in range(len(geom.ax_shells) + 1):
+        thick = thick_spine(geom, r)
+        if not central <= thick:
+            return False, f"central region r={r} escapes thick spine r={r}"
+        central = central_region(geom, r + 1)  # reused as step r+1's ball
+        if not thick <= central:
+            return False, f"thick spine r={r} escapes central region r={r + 1}"
+    return True, ""
+
+
 def vertex_classes_by_membership(a):
     """Export classes by set membership: the axis, the spine, the ball
     C^(1) of radius 1 around the axis, and the rest."""
@@ -437,7 +495,7 @@ def vertex_classes_by_membership(a):
     return classes
 
 
-# verify's check name -> its row-based (or cell-set) twin
+# verify's check name -> its row-based (or cell-set, or ball) twin
 CHECK_TWINS = {
     "adjacency_symmetric_irreflexive": adjacency_symmetric_irreflexive_by_rows,
     "conjugation_automorphism": conjugation_automorphism_by_rows,
@@ -446,4 +504,6 @@ CHECK_TWINS = {
     "bfs_triangle": bfs_triangle_by_rows,
     "axis_edgeless": axis_edgeless_by_rows,
     "spine_membership": spine_membership_by_rows,
+    "spine_sandwich": spine_sandwich_by_balls,
+    "filtration_sandwich": filtration_sandwich_by_balls,
 }

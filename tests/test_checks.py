@@ -1,26 +1,30 @@
-"""verify's cover-reading checks and its diagonal-corner check against
-their twins, and the checks on the recorded distance arrays.
+"""verify's cover-reading checks, its diagonal-corner check and its
+sandwich checks against their twins, and the checks on the recorded
+distance arrays.
 
 oracles.CHECK_TWINS holds each check's earlier form: it reads adjacency
-rows or, for the corner check, the cell set's removable and addable
-cells. On real analyses both forms give the same verdict, and both
-reject each tampered input. bfs_triangle pins each recorded distance
-array from above and from below, and shell_sums pins each shell tuple
-to its array's histogram.
+rows, or the cell set's removable and addable cells for the corner
+check, or builds the distance balls as vertex sets for the sandwiches.
+On real analyses both forms give the same verdict, and both reject each
+tampered input. bfs_triangle pins each recorded distance array from
+above and from below, and shell_sums pins each shell tuple to its
+array's histogram.
 """
 
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
+from itertools import combinations
 
 import pytest
 
-from partition_axis import UNREACHABLE, all_profiles, axial, axial_geometry, format_partition
+from partition_axis import UNREACHABLE, all_profiles, axial, axial_geometry, checks, format_partition
 from partition_axis.checks import _CHECKS
 from partition_axis.invariants import DEG, DIM_LOC, OMEGA_LOC
 
 from layout import as_tuples, rows_of, with_conj
 from memo import analyze
-from oracles import CHECK_TWINS
+from oracles import CHECK_TWINS, local_clique_number_by_subsets
 
 CHECKS = {name: fn for name, fn, *_ in _CHECKS}
 
@@ -96,6 +100,20 @@ def _drop_mediator(a):
     return _with_geometry(a, spine=geom.spine - {min(geom.spine - geom.axis)})
 
 
+def _raise_spinal_distance(a):
+    # (12) lies 6 from the axis and from the spine, and now 7 from the spine
+    sp_dist = list(a.geometry.sp_dist)
+    sp_dist[0] = a.geometry.ax_dist[0] + 1
+    return _with_geometry(a, sp_dist=tuple(sp_dist))
+
+
+def _widen_spine(a):
+    # the spine gains (8,2,1,1), the first vertex at axial distance 2
+    geom = a.geometry
+    far = geom.ax_dist.index(2)
+    return _with_geometry(a, spine=geom.spine | {far})
+
+
 TAMPERED = {
     "adjacency_symmetric_irreflexive": (_drop_clique_member, "clique 1 is not the upper covers of one partition of n-1"),
     "degree_sum": (_drop_vertex_clique, "6,4,2 has cover degree 6, closed form 9"),
@@ -104,7 +122,109 @@ TAMPERED = {
     "bfs_triangle": (_join_far_clique_to_source, "edge (0,76) jumps 0->11 from v0"),
     "axis_edgeless": (_widen_axis, "axis vertices 7,2,1,1,1 and 6,2,1,1,1,1 are adjacent"),
     "spine_membership": (_drop_mediator, "6,3,1,1,1 misclassified for the spine"),
+    "spine_sandwich": (_widen_spine, "spine vertex 8,2,1,1 at axial distance 2"),
+    "filtration_sandwich": (_raise_spinal_distance, "12 lies 6 from the axis and 7 from the spine"),
 }
+
+
+def _swap_cliques(a, k):
+    # cliques k and k+1 trade ids; each vertex row is relabelled and
+    # re-sorted, so vertex_cliques stays the transpose of the cover
+    g = a.graph
+    cliques = list(as_tuples(g.cliques))
+    cliques[k], cliques[k + 1] = cliques[k + 1], cliques[k]
+    relabel = {k: k + 1, k + 1: k}
+    vertex_cliques = [sorted(relabel.get(c, c) for c in row) for row in as_tuples(g.vertex_cliques)]
+    return _with_graph(a, cliques=rows_of(cliques), vertex_cliques=rows_of(vertex_cliques))
+
+
+def _duplicate_clique(a, k):
+    # clique k comes twice, as ids k and k+1, and its members list both
+    g = a.graph
+    cliques = list(as_tuples(g.cliques))
+    cliques.insert(k + 1, cliques[k])
+    vertex_cliques = [
+        sorted([c + (c > k) for c in row] + [k + 1] * (k in row)) for row in as_tuples(g.vertex_cliques)
+    ]
+    return _with_graph(a, cliques=rows_of(cliques), vertex_cliques=rows_of(vertex_cliques))
+
+
+def test_adjacency_check_states_the_descending_nu_order():
+    # Cliques 0 and 1 cover nu = (11) and (10,1). Swapped, the cover still
+    # holds every edge once and no clique twice, so the rows and the
+    # twin are unchanged; only the order clause rejects it.
+    a = analyze(12)
+    broken = _swap_cliques(a, 0)
+    assert CHECKS["adjacency_symmetric_irreflexive"](broken) == (
+        False, "clique 1 does not cover a partition of n-1 below clique 0's"
+    )
+    assert CHECK_TWINS["adjacency_symmetric_irreflexive"](broken) == (True, "")
+
+
+def test_adjacency_check_rejects_a_duplicated_clique():
+    broken = _duplicate_clique(analyze(12), 5)
+    assert CHECKS["adjacency_symmetric_irreflexive"](broken) == (
+        False, "clique 6 does not cover a partition of n-1 below clique 5's"
+    )
+
+
+def test_filtration_sandwich_ties_the_balls_of_radius_0_to_axis_and_spine():
+    # The distances are untouched, so the per-vertex clause and the ball
+    # twin pass; the axis and the spine no longer are those balls.
+    a = analyze(12)
+    widened = _widen_axis(a)
+    assert CHECKS["filtration_sandwich"](widened) == (False, "central region r=0 is not the axis")
+    assert CHECK_TWINS["filtration_sandwich"](widened) == (True, "")
+    narrowed = _drop_mediator(a)
+    assert CHECKS["filtration_sandwich"](narrowed) == (False, "thick spine r=0 is not the spine")
+
+
+def _split_largest_clique(a):
+    # clique 23, the upper covers of (5,3,2,1) and the first of five
+    # members, becomes its ten edges: the rows are unchanged, but no
+    # cover clique through (6,3,2,1) has five members
+    g = a.graph
+    cliques = list(as_tuples(g.cliques))
+    k = 23
+    edges = list(combinations(cliques[k], 2))
+    vertex_cliques = [list(row) for row in as_tuples(g.vertex_cliques)]
+    for u in set(cliques[k]) - set(edges[0]):
+        vertex_cliques[u].remove(k)
+    cliques[k] = edges[0]
+    cliques += edges[1:]
+    for i, edge in enumerate(edges[1:], len(g.cliques)):
+        for u in edge:
+            vertex_cliques[u].append(i)
+    return _with_graph(a, cliques=rows_of(cliques), vertex_cliques=rows_of(vertex_cliques))
+
+
+def test_clique_oracle_and_its_subset_twin_reject_a_split_clique(monkeypatch):
+    a = analyze(12)
+    broken = _split_largest_clique(a)
+    assert broken.graph.adjacency == a.graph.adjacency
+    detail = "omega_loc disagreement at 6,3,2,1: count=4, oracle=5"
+    assert CHECKS["clique_oracle"](broken) == (False, detail)
+    monkeypatch.setattr(checks, "local_clique_number_oracle", local_clique_number_by_subsets)
+    assert CHECKS["clique_oracle"](a) == (True, "")
+    assert CHECKS["clique_oracle"](broken) == (False, detail)
+
+
+@pytest.mark.parametrize(
+    "name, limit_kib", [("filtration_sandwich", 64), ("adjacency_symmetric_irreflexive", 205)]
+)
+def test_check_peak_at_n30_stays_small(name, limit_kib):
+    # Each check reads the analysis per vertex or per clique and builds
+    # no set of p(n) vertices or cliques: the ball form of the sandwich
+    # peaked at 2085 KiB, the set of every clique's bytes at 411 KiB.
+    a = analyze(30)
+    tracemalloc.start()
+    try:
+        outcome = CHECKS[name](a)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert outcome == (True, "")
+    assert peak < limit_kib * 1024
 
 
 def test_identity_conj_fails_only_against_the_transpose():

@@ -16,7 +16,11 @@ from partition_axis.invariants import DEG, DIM_LOC, INVARIANTS, OMEGA_LOC, _encl
 
 from layout import with_conj
 from memo import analyze
-from oracles import local_clique_number_by_moves, local_clique_numbers_by_search
+from oracles import (
+    local_clique_number_by_moves,
+    local_clique_number_by_subsets,
+    local_clique_numbers_by_search,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -70,6 +74,14 @@ class TestOracle:
             g = analyze(n).graph
             for v in range(g.num_vertices):
                 assert local_clique_number(g, v) == local_clique_number_oracle(g, v)
+
+    def test_level_wise_search_agrees_with_subsets_and_pivoted_search_through_n14(self):
+        for n in range(1, 15):
+            g = analyze(n).graph
+            searched = local_clique_numbers_by_search(g)
+            for v in range(g.num_vertices):
+                level_wise = local_clique_number_oracle(g, v)
+                assert level_wise == local_clique_number_by_subsets(g, v) == searched[v], (n, v)
 
     def test_agrees_with_pivoted_search_through_n30(self):
         for n in range(1, 31):
