@@ -9,11 +9,10 @@ rows: only clique_oracle, for small n, builds rows.
 
 from __future__ import annotations
 
-from array import array
 from collections import Counter
 from dataclasses import dataclass
-from itertools import compress, count, pairwise
-from operator import eq, lt, sub
+from itertools import compress, count
+from operator import eq, lt, ne, sub
 from typing import Callable
 
 from .axial import central_region, thick_spine
@@ -119,18 +118,18 @@ def _check_adjacency_symmetric_irreflexive(a: GraphAnalysis) -> Outcome:
             if at == ends[u] or through[at] != k:
                 return False, f"clique {k} is missing from vertex_cliques"
             cursor[u] = at + 1
-    lengths = list(map(sub, ends, firsts))
-    if cursor != ends or lengths != list(map(len, map(set, vertices))):
-        u = next(u for u, parts in enumerate(vertices) if cursor[u] != ends[u] or lengths[u] != len(set(parts)))
+    if cursor != ends or any(map(ne, map(sub, ends, firsts), map(len, map(set, vertices)))):
+        u = next(u for u, parts in enumerate(vertices) if not cursor[u] == ends[u] == firsts[u] + len(set(parts)))
         return False, f"{format_partition(vertices[u])} lies in cliques {tuple(g.vertex_cliques[u])}"
     return True, ""
 
 
 def _check_conjugation_involution(a: GraphAnalysis) -> Outcome:
-    # conj is read off the cover, so it is also compared with
-    # each partition's transpose, computed from the parts alone; the
-    # identity is an involution and maps every clique onto itself. Both
-    # maps are involutions, so each pair {v, w} is compared once, at v <= w.
+    # conj is read off the cover, so it is also compared with each
+    # partition's transpose, computed from the parts alone: this ties the
+    # map whose law conjugation_automorphism checks on the cover to
+    # conjugation. Both maps are involutions, so each pair {v, w} is
+    # compared once, at v <= w.
     # compute_axis builds the axis from the parts without reading conj,
     # so the recorded axis is compared with conj's fixed points.
     g = a.graph
@@ -156,34 +155,22 @@ def _check_conjugation_involution(a: GraphAnalysis) -> Outcome:
 
 
 def _check_conjugation_automorphism(a: GraphAnalysis) -> Outcome:
-    # conj maps every clique of the cover onto a clique of the cover. As
-    # every edge lies in a clique, each edge maps onto an edge.
+    # Transposition maps the upper covers of nu onto those of nu', in
+    # reverse order, so conj maps clique k onto clique j read backwards,
+    # j being the first clique through the image of k's first member (the
+    # clique the conj sweep pairs with k). Every clique then maps onto a
+    # clique, and as every edge lies in a clique, each edge onto an edge.
+    # conj is read off the cover by this law, but conjugation_involution
+    # pins it to each partition's transpose, computed from the parts
+    # alone, so the law is checked, not restated.
     g = a.graph
-    conj, vertex_cliques = g.conj, g.vertex_cliques
-    cliques = set(map(memoryview.tobytes, g.cliques))
-    # Conjugation maps a clique onto another read backwards, so each image
-    # is looked up backwards first, then sorted. Reversing the whole member
-    # array reverses every clique in place: clique k's image, backwards, is
-    # one slice of the conjugated reversal.
-    flat = g.cliques.members
-    backwards = memoryview(array("i", map(conj.__getitem__, reversed(flat))))
-    end = len(flat)
-    for k, (lo, hi) in enumerate(pairwise(g.cliques.starts)):
-        image = backwards[end - hi : end - lo]
-        if image.tobytes() in cliques or array("i", sorted(image)).tobytes() in cliques:
-            continue
-        members = g.cliques[k]
-        # Name the first edge whose image is no edge. If every image is an
-        # edge, the images still lie in no one clique: name the first edge.
-        u, v = next(
-            ((u, v) for i, u in enumerate(members) for v in members[i + 1 :]
-             if not set(vertex_cliques[conj[u]]) & set(vertex_cliques[conj[v]])),
-            members[:2],
-        )
-        return False, (
-            f"edge ({format_partition(g.vertices[u])},"
-            f"{format_partition(g.vertices[v])}) breaks under conjugation"
-        )
+    conj, flat, starts = g.conj, memoryview(g.cliques.members), g.cliques.starts
+    through, firsts = g.vertex_cliques.members, g.vertex_cliques.starts
+    for members in g.cliques:
+        j = through[firsts[conj[members[0]]]]
+        if list(map(conj.__getitem__, reversed(members))) != flat[starts[j] : starts[j + 1]].tolist():
+            this, that = ("; ".join(format_partition(g.vertices[v]) for v in c) for c in (members, g.cliques[j]))
+            return False, f"clique ({this}) does not map onto clique ({that}) reversed"
     return True, ""
 
 

@@ -111,7 +111,7 @@ class PartitionGraph:
         strictly decreasing columns; transposed, they are the addable
         cells of nu' by decreasing row. A clique lists its members by
         increasing row of the added cell, so ``cliques[k][m]`` maps to
-        ``cliques[k'][-1 - m]``.
+        ``cliques[k'][-1 - m]``. ``verify`` checks this law on every clique.
 
         The pass sweeps the cliques in id order, anchored at conj[0] =
         p - 1, as (n) and (1^n) are conjugate. Clique k's first member is

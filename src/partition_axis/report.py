@@ -98,6 +98,8 @@ def compute_summaries(n_min: int, n_max: int, threads: int = 1) -> list[RangeSum
     is a short one. It has no more workers than the range has n, since a
     forked pool starts every worker up front; one worker runs in process.
     """
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
     ns = range(n_min, n_max + 1)
     workers = min(threads, len(ns))
     if workers > 1:
@@ -159,6 +161,8 @@ def run_range(n_min: int, n_max: int, out_dir: Path, threads: int = 1) -> list[P
     its checksums then show which files are not the ones it lists.
     """
     check_range(n_min, n_max)
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     summaries = compute_summaries(n_min, n_max, threads=threads)

@@ -117,7 +117,11 @@ def _widen_spine(a):
 TAMPERED = {
     "adjacency_symmetric_irreflexive": (_drop_clique_member, "clique 1 is not the upper covers of one partition of n-1"),
     "degree_sum": (_drop_vertex_clique, "6,4,2 has cover degree 6, closed form 9"),
-    "conjugation_automorphism": (_swap_conj, "edge (11,1,10,2) breaks under conjugation"),
+    "conjugation_automorphism": (
+        _swap_conj,
+        "clique (12; 11,1) does not map onto clique "
+        "(3,1,1,1,1,1,1,1,1,1; 2,2,1,1,1,1,1,1,1,1; 2,1,1,1,1,1,1,1,1,1,1) reversed",
+    ),
     "diagonal_corner_exclusivity": (_unsort_vertex, "7,1,3,1 has both diagonal corner kinds"),
     "bfs_triangle": (_join_far_clique_to_source, "edge (0,76) jumps 0->11 from v0"),
     "axis_edgeless": (_widen_axis, "axis vertices 7,2,1,1,1 and 6,2,1,1,1,1 are adjacent"),
@@ -210,13 +214,17 @@ def test_clique_oracle_and_its_subset_twin_reject_a_split_clique(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "name, limit_kib", [("filtration_sandwich", 64), ("adjacency_symmetric_irreflexive", 205)]
+    "name, limit_kib",
+    [("filtration_sandwich", 64), ("adjacency_symmetric_irreflexive", 96), ("conjugation_automorphism", 16)],
 )
 def test_check_peak_at_n30_stays_small(name, limit_kib):
     # Each check reads the analysis per vertex or per clique and builds
-    # no set of p(n) vertices or cliques: the ball form of the sandwich
-    # peaked at 2085 KiB, the set of every clique's bytes at 411 KiB.
+    # no set of p(n) vertices or cliques, and no list of p(n) values: the
+    # ball form of the sandwich peaked at 2085 KiB, the adjacency check's
+    # two row-length lists at 138 KiB, and the automorphism check's set of
+    # every clique's bytes with a conjugated copy of the cover at 459 KiB.
     a = analyze(30)
+    a.graph.conj  # the graph builds and keeps conj on first use
     tracemalloc.start()
     try:
         outcome = CHECKS[name](a)
@@ -227,13 +235,18 @@ def test_check_peak_at_n30_stays_small(name, limit_kib):
     assert peak < limit_kib * 1024
 
 
-def test_identity_conj_fails_only_against_the_transpose():
-    # The identity is an involution and maps every clique onto itself, so
-    # only the comparison with each partition's transpose rejects it.
+def test_identity_conj_fails_both_conjugation_checks():
+    # The identity is an involution and an automorphism: it maps every
+    # clique onto itself, so the row twin passes it. It breaks the
+    # reversal law, as conjugation maps each clique onto one read
+    # backwards, and it is not the partitions' transpose.
     a = analyze(12)
     broken = replace(a, graph=with_conj(a.graph, range(a.graph.num_vertices)))
     assert CHECKS["conjugation_involution"](a) == (True, "")
-    assert CHECKS["conjugation_automorphism"](broken) == (True, "")
+    assert CHECK_TWINS["conjugation_automorphism"](broken) == (True, "")
+    assert CHECKS["conjugation_automorphism"](broken) == (
+        False, "clique (12; 11,1) does not map onto clique (12; 11,1) reversed"
+    )
     assert CHECKS["conjugation_involution"](broken) == (
         False, "conj maps 12 to 12, not its transpose"
     )

@@ -226,13 +226,18 @@ def test_adjacency_rows_are_built_once_on_request():
 
 
 def test_conjugation_automorphism_check_reports_first_broken_edge():
+    # (12) now maps to (2,1^10), so clique 0, the covers of (11), should
+    # map onto the covers of (2,1^9) read backwards. Its image is still an
+    # edge, and the check names the first clique that breaks the law.
     a = analyze(12)
     conj = list(a.graph.conj)
     conj[0], conj[1] = conj[1], conj[0]
     broken = replace(a, graph=with_conj(a.graph, conj))
     assert _check_conjugation_automorphism(a) == (True, "")
     assert _check_conjugation_automorphism(broken) == (
-        False, "edge (11,1,10,2) breaks under conjugation"
+        False,
+        "clique (12; 11,1) does not map onto clique "
+        "(3,1,1,1,1,1,1,1,1,1; 2,2,1,1,1,1,1,1,1,1; 2,1,1,1,1,1,1,1,1,1,1) reversed",
     )
 
 

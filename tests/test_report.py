@@ -155,6 +155,15 @@ class TestRunRange:
         with pytest.raises(ValueError):
             run_range(7, 3, tmp_path)
 
+    @pytest.mark.parametrize("threads", [0, -5])
+    def test_rejects_a_thread_count_below_one_before_any_write(self, tmp_path, threads):
+        out = tmp_path / "out"
+        with pytest.raises(ValueError, match=f"threads must be at least 1, got {threads}"):
+            run_range(1, 3, out, threads=threads)
+        assert not out.exists()
+        with pytest.raises(ValueError, match=f"threads must be at least 1, got {threads}"):
+            compute_summaries(1, 4, threads=threads)
+
     def test_parallel_equals_serial(self, tmp_path):
         serial = tmp_path / "serial"
         parallel = tmp_path / "parallel"
