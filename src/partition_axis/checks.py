@@ -402,10 +402,12 @@ def _check_argmax_symmetry(a: GraphAnalysis) -> Outcome:
         if len(argmax) % 2 == 1 and not any(conj[v] == v for v in argmax):
             return False, f"{inv}: odd argmax avoids the axis"
         # The recorded maximum and argmax are those of the recorded values.
-        top = max(prof.values)
+        # dim_loc keeps none: its values are omega_loc's less one.
+        values, shift = (a.profiles[OMEGA_LOC].values, 1) if inv == DIM_LOC else (prof.values, 0)
+        top = max(values) - shift
         if prof.max_value != top:
             return False, f"{inv}: max {prof.max_value}, but the values peak at {top}"
-        if argmax != frozenset(compress(count(), map(top.__eq__, prof.values))):
+        if argmax != frozenset(compress(count(), map((top + shift).__eq__, values))):
             return False, f"{inv}: argmax is not the set of vertices at {top}"
     return True, ""
 
@@ -423,8 +425,8 @@ def _check_omega_deg_bounds(a: GraphAnalysis) -> Outcome:
 def _check_dim_shift(a: GraphAnalysis) -> Outcome:
     omega = a.profiles[OMEGA_LOC]
     dim = a.profiles[DIM_LOC]
-    if any(d != w - 1 for d, w in zip(dim.values, omega.values)):
-        return False, "dim_loc values are not omega_loc - 1"
+    if dim.max_value != omega.max_value - 1:
+        return False, "dim_loc's max is not omega_loc's less one"
     if dim.argmax != omega.argmax:
         return False, "dim_loc argmax differs from omega_loc argmax"
     if (dim.rho_ax, dim.rho_sp) != (omega.rho_ax, omega.rho_sp):
@@ -487,6 +489,7 @@ _CHECKS: list[tuple[str, Callable[[GraphAnalysis], Outcome], bool, int | None]] 
 def run_checks(n: int) -> list[CheckResult]:
     """All property suites for one n, axial ones skipped when axisless."""
     analysis = analyze(n)
+    analysis.graph.conj  # built on first use: here, so that no check's time includes it
     axial = analysis.geometry.is_axial
     results = []
     for name, fn, needs_axis, n_limit in _CHECKS:

@@ -28,7 +28,14 @@ class OracleInfeasibleError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class InvariantProfile:
-    values: tuple[int, ...]
+    """One invariant's per-vertex values, maximum, maximizer set and the
+    smallest axial / spinal radii enclosing that set.
+
+    dim_loc keeps no values of its own: its values are None, and each
+    vertex's dim_loc is omega_loc's value there less one.
+    """
+
+    values: tuple[int, ...] | None
     max_value: int
     argmax: frozenset[int]
     rho_ax: int | None
@@ -108,8 +115,9 @@ def all_profiles(
 
     A radius is None when a maximizer is unreachable, as for axisless n.
     The clique values are computed once; dim_loc is omega_loc shifted
-    down by one, so it shares omega_loc's argmax and radii. deg is the
-    sum of |K| - 1 over the cliques K through v, omega_loc the largest |K|.
+    down by one, so it shares omega_loc's argmax and radii and keeps no
+    values (see InvariantProfile). deg is the sum of |K| - 1 over the
+    cliques K through v, omega_loc the largest |K|.
     """
     omega = _build_profile(tuple(local_clique_number(g, v) for v in range(g.num_vertices)), geometry)
     sizes = g.incidence_sizes
@@ -117,9 +125,5 @@ def all_profiles(
     return {
         DEG: _build_profile(deg, geometry),
         OMEGA_LOC: omega,
-        DIM_LOC: replace(
-            omega,
-            values=tuple(x - 1 for x in omega.values),
-            max_value=omega.max_value - 1,
-        ),
+        DIM_LOC: replace(omega, values=None, max_value=omega.max_value - 1),
     }

@@ -235,6 +235,21 @@ def test_check_peak_at_n30_stays_small(name, limit_kib):
     assert peak < limit_kib * 1024
 
 
+def test_run_checks_builds_conj_before_the_first_check(monkeypatch):
+    # conj is built on first use; built inside conjugation_involution, the
+    # first check that reads it, the check's time would include the build.
+    at_call = []
+
+    def recording(analysis):
+        at_call.append("conj" in vars(analysis.graph))
+        return CHECKS["conjugation_involution"](analysis)
+
+    wrapped = [(name, recording if name == "conjugation_involution" else fn, *rest) for name, fn, *rest in _CHECKS]
+    monkeypatch.setattr(checks, "_CHECKS", wrapped)
+    assert not any(r.failed for r in checks.run_checks(8))
+    assert at_call == [True]
+
+
 def test_identity_conj_fails_both_conjugation_checks():
     # The identity is an involution and an automorphism: it maps every
     # clique onto itself, so the row twin passes it. It breaks the

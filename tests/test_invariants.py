@@ -1,4 +1,5 @@
 import csv
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -6,6 +7,7 @@ import pytest
 
 from partition_axis import (
     OracleInfeasibleError,
+    all_profiles,
     build_graph,
     local_clique_number,
     local_clique_number_oracle,
@@ -140,18 +142,33 @@ class TestProfile:
         a = analyze(12)
         om = a.profiles[OMEGA_LOC]
         dm = a.profiles[DIM_LOC]
-        assert dm.values == tuple(x - 1 for x in om.values)
+        assert dm.values is None
         assert dm.max_value == om.max_value - 1
         assert dm.argmax == om.argmax
         assert (dm.rho_ax, dm.rho_sp) == (om.rho_ax, om.rho_sp)
+
+    def test_profile_peak_at_n30_stays_small(self):
+        # Two p-length tuples of values (deg and omega_loc) and no third:
+        # with dim_loc's shifted copy of omega_loc's values the stage
+        # peaked at 140 KiB.
+        a = analyze(30)
+        a.graph.incidence_sizes  # the graph builds and keeps it on first use
+        tracemalloc.start()
+        try:
+            profiles = all_profiles(a.graph, a.geometry)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert profiles[DIM_LOC].values is None
+        assert peak < 110 * 1024
 
     def test_argmax_is_value_level_set(self):
         a = analyze(11)
         for inv in INVARIANTS:
             p = a.profiles[inv]
-            assert p.argmax == frozenset(
-                v for v, x in enumerate(p.values) if x == p.max_value
-            )
+            # dim_loc keeps no values: they are omega_loc's less one
+            values, shift = (a.profiles[OMEGA_LOC].values, 1) if inv == DIM_LOC else (p.values, 0)
+            assert p.argmax == frozenset(v for v, x in enumerate(values) if x == p.max_value + shift)
             assert p.argmax
 
     def test_radius_comparison(self):
@@ -218,9 +235,10 @@ class TestArgmaxSymmetry:
 
 class TestDimShift:
     @pytest.mark.parametrize("field, tamper, detail", [
-        ("values", lambda p: p.values[:-1] + (p.values[-1] + 1,), "dim_loc values are not omega_loc - 1"),
+        ("max_value", lambda p: p.max_value + 1, "dim_loc's max is not omega_loc's less one"),
         ("argmax", lambda p: p.argmax - {min(p.argmax)}, "dim_loc argmax differs from omega_loc argmax"),
         ("rho_ax", lambda p: p.rho_ax + 1, "dim_loc radii differ from omega_loc radii"),
+        ("rho_sp", lambda p: p.rho_sp + 1, "dim_loc radii differ from omega_loc radii"),
     ])
     def test_detects_tampered_dim_loc(self, field, tamper, detail):
         a = analyze(12)

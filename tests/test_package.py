@@ -186,3 +186,22 @@ def test_bench_tracer_counts_the_cover():
     ).stdout
     traced_edges, traced_max_deg, edges, max_deg = json.loads(out)
     assert (traced_edges, traced_max_deg) == (edges, max_deg)
+
+
+def test_readme_library_example_prints_what_it_says():
+    # In the python block under README's "Library" heading, each line
+    # followed by a "# ..." line is an expression, and that comment is its
+    # repr; every other line is run as it stands.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("\n## Library\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    lines = block.splitlines()
+    namespace, shown = {}, []
+    for line, below in zip(lines, lines[1:] + [""]):
+        if not line or line.startswith("#"):
+            continue
+        if below.startswith("# "):
+            shown.append((line, repr(eval(line, namespace)), below[2:]))
+        else:
+            exec(line, namespace)
+    assert len(shown) >= 3
+    assert [(line, got) for line, got, _ in shown] == [(line, expected) for line, _, expected in shown]
