@@ -7,7 +7,6 @@ from .axial import (
     axial_geometry,
     central_region,
     compute_axis,
-    compute_spine,
     interaction_graph,
     thick_spine,
 )
@@ -40,7 +39,6 @@ __all__ = [
     "build_graph",
     "central_region",
     "compute_axis",
-    "compute_spine",
     "conjugate",
     "enumerate_partitions",
     "format_partition",

@@ -90,13 +90,6 @@ def interaction_graph(
     return pairs
 
 
-def compute_spine(
-    axis: frozenset[int], mediators: dict[AxialPair, frozenset[int]]
-) -> frozenset[int]:
-    """Axis plus every mediator of an interacting axial pair."""
-    return axis.union(*mediators.values())
-
-
 def _shell_histogram(dist: tuple[int, ...]) -> tuple[int, ...]:
     top = max(dist)
     counts = [0] * (top + 1)
@@ -110,7 +103,7 @@ def axial_geometry(g: PartitionGraph) -> AxialGeometry:
     """Compute the full axial structure of g in one pass."""
     axis = compute_axis(g)
     mediators = interaction_graph(g, axis)
-    spine = compute_spine(axis, mediators)
+    spine = axis.union(*mediators.values())
     ax_dist = tuple(bfs_distances(g, axis))
     sp_dist = tuple(bfs_distances(g, spine))
     return AxialGeometry(

@@ -174,30 +174,40 @@ def _check_conjugation_automorphism(a: GraphAnalysis) -> Outcome:
     return True, ""
 
 
-def _transfer_count(parts: Partition) -> int:
-    """Unit transfers out of a partition: the sum over its k part sizes v
-    of r(v) = k + 1 - [v-1 in S+{0}] - [m_v = 1], S the part sizes and m_v
-    the multiplicity of v. Size v gives to the other sizes, a new part,
-    or v itself if it repeats, less v - 1 (a new part for v = 1), which
-    gives the partition back. A run is read at its last index, where the
-    part above equals it iff the size repeats."""
-    lost = [
+def _lost_receivers(parts: Partition) -> list[int]:
+    """lost(v) = [v-1 in S+{0}] + [m_v = 1] for each of the k part sizes
+    v of a partition, S the part sizes and m_v the multiplicity of v.
+
+    A unit from size v goes to r(v) = k + 1 - lost(v) receivers: the
+    other sizes, a new part, or v itself if it repeats, less v - 1 (a new
+    part for v = 1), which gives the partition back. So the transfer
+    count is the sum of r, k(k + 1) - sum(lost). r(v) is also k(nu) for
+    the lower cover nu that takes a cell from size v, whose clique holds
+    the partition and r(v) others; a largest clique through it is such a
+    clique (see local_clique_number), so omega_loc = 1 + max r =
+    k + 2 - min(lost). A run is read at its last index, where the part
+    above equals it iff the size repeats."""
+    return [
         (below == size - 1) + (above != size)
         for above, size, below in zip((0, *parts), parts, (*parts[1:], 0))
         if size != below
     ]
-    return len(lost) * (len(lost) + 1) - sum(lost)
 
 
 def _check_degree_sum(a: GraphAnalysis) -> Outcome:
-    # Each recorded degree, the one export prints and report ranks, is its
-    # vertex's transfer count; the degrees add up to twice the edge count
-    # read off the clique sizes.
+    # Each vertex's recorded degree and omega_loc, which export prints and
+    # report ranks, are read off its parts: the transfer count, and one
+    # more than the most receivers of any part size. The degrees add up to
+    # twice the edge count read off the clique sizes.
     g = a.graph
     degrees = a.profiles[DEG].values
-    for parts, deg in zip(g.vertices, degrees):
-        if deg != _transfer_count(parts):
-            return False, f"{format_partition(parts)} has cover degree {deg}, closed form {_transfer_count(parts)}"
+    for parts, deg, omega in zip(g.vertices, degrees, a.profiles[OMEGA_LOC].values):
+        lost = _lost_receivers(parts)
+        k = len(lost)
+        if deg != k * (k + 1) - sum(lost):
+            return False, f"{format_partition(parts)} has cover degree {deg}, closed form {k * (k + 1) - sum(lost)}"
+        if omega != k + 2 - min(lost):
+            return False, f"{format_partition(parts)} has omega_loc {omega}, closed form {k + 2 - min(lost)}"
     total = sum(degrees)
     ok = total == 2 * g.num_edges
     return ok, "" if ok else f"degree sum {total} != 2*{g.num_edges}"

@@ -7,7 +7,6 @@ number, and its distances to axis and spine (-1 when undefined).
 
 from __future__ import annotations
 
-from html import escape
 from itertools import combinations
 from pathlib import Path
 
@@ -97,8 +96,10 @@ def render_graphml(analysis: GraphAnalysis) -> str:
         lines.append('    <data key="d_axisless">true</data>')
     for v, row in enumerate(_node_rows(analysis)):
         lines.append(f'    <node id="v{v}">')
+        # No value needs XML escaping: a label is digits and commas, a
+        # class [a-z_], the rest ints.
         for (key_id, _, _), x in zip(_NODE_KEYS, row):
-            lines.append(f'      <data key="{key_id}">{escape(str(x), quote=False)}</data>')
+            lines.append(f'      <data key="{key_id}">{x}</data>')
         lines.append("    </node>")
     for i, (u, v) in enumerate(_edges(analysis)):
         lines.append(f'    <edge id="e{i}" source="v{u}" target="v{v}"/>')

@@ -170,7 +170,7 @@ def build_graph(n: int) -> PartitionGraph:
     each other cover nu + e_j is found by a forward scan of ``vertices``
     (``tuple.index`` from a start id), its key built once from a
     bytearray copy of nu with one entry raised. No index from partitions
-    to ids is built. Two facts bound where each scan starts:
+    to ids is built. Two facts order the covers:
 
     - Adding e_j strictly preserves lexicographic order. Zero-padded, nu
       and nu* first differ at some index i; adding 1 at index j to both
@@ -178,15 +178,14 @@ def build_graph(n: int) -> PartitionGraph:
       differ at i, in the same direction. Bytes compare as the
       zero-padded vectors do, parts being positive. The nu are visited
       in descending order (appending a 1 keeps lexicographic order), so
-      for each fixed row j the ids of the covers nu + e_j rise strictly,
-      and row j's scan starts one past the last cover it found.
+      for each fixed row j the ids of the covers nu + e_j rise strictly.
+      Row j's scan starts one past the last cover it found, and cannot
+      miss: the cover is a vertex at or past that bound.
     - Within a clique, nu + e_a > nu + e_b for a < b: they first differ
       at index a, where the first is one larger. So a cell added higher
-      up gives a smaller id, the members come out ascending, and each
-      scan also starts one past the clique's previous member.
+      up gives a smaller id, and the members come out ascending.
 
-    The scan starts at the larger bound and cannot miss: the cover is a
-    vertex at or past both. The new-part cover comes last in its clique.
+    The new-part cover comes last in its clique.
     Clique ids follow nu in descending order, so each vertex's clique ids
     come out ascending too: its row is sized k(lambda) in advance and
     filled from a cursor. Each incidence is one clique membership, so
@@ -207,13 +206,13 @@ def build_graph(n: int) -> PartitionGraph:
         k = len(starts) - 1
         nu = bytearray(lam)
         del nu[-1]
-        above = lo = 0
+        above = 0
         for j, v in enumerate(nu):
             if v != above:
                 nu[j] = v + 1
-                u = find(bytes(nu), past[j] if past[j] > lo else lo)
+                u = find(bytes(nu), past[j])
                 nu[j] = v
-                past[j] = lo = u + 1
+                past[j] = u + 1
                 members[m] = u
                 m += 1
                 at = cursor[u]

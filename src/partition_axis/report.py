@@ -8,14 +8,12 @@ so two runs over the same range produce byte-identical CSV bodies.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import resource
 import sys
 import time
 from dataclasses import dataclass, replace
-from datetime import datetime, timezone
 from itertools import chain
 from pathlib import Path
 
@@ -127,10 +125,6 @@ def render_shells(summaries: list[RangeSummary]) -> str:
     return "\n".join([SHELLS_HEADER, *(row for s in summaries for row in s.shells)]) + "\n"
 
 
-def _sha256(data: bytes) -> str:
-    return "sha256:" + hashlib.sha256(data).hexdigest()
-
-
 def _write_atomic(path: Path, data: bytes) -> None:
     """Write data to path through a temporary file in the same directory,
     so the path holds either its old bytes or all of the new ones."""
@@ -145,9 +139,18 @@ def _write_atomic(path: Path, data: bytes) -> None:
 
 def _peak_rss_mib() -> float:
     """Largest resident set of this process or of any child it has
-    waited for (pool workers), in MiB."""
-    maxrss = max(resource.getrusage(who).ru_maxrss for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
-    # ru_maxrss is in KiB on Linux and in bytes on macOS.
+    waited for (pool workers), in MiB.
+
+    Linux hands a process its launcher's ru_maxrss at exec, so there the
+    process's own peak is read as VmHWM from /proc/self/status: exec
+    starts a fresh address space, and VmHWM counts only that. Forked
+    workers inherit no such figure."""
+    status = Path("/proc/self/status")
+    lines = status.read_text().splitlines() if status.exists() else []
+    hwm = [int(line.split()[1]) for line in lines if line.startswith("VmHWM:")]
+    own = hwm[0] if hwm else resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    maxrss = max(own, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+    # ru_maxrss and VmHWM are in KiB on Linux; ru_maxrss is in bytes on macOS.
     return round(maxrss / (1024 * 1024 if sys.platform == "darwin" else 1024), 3)
 
 
@@ -175,6 +178,11 @@ def run_range(n_min: int, n_max: int, out_dir: Path, threads: int = 1) -> list[P
     for name, data in contents.items():
         _write_atomic(out_dir / name, data)
 
+    # Imported here: hashlib loads OpenSSL, and neither it nor datetime
+    # serves verify or export.
+    import hashlib
+    from datetime import datetime, timezone
+
     manifest = {
         "n_min": n_min,
         "n_max": n_max,
@@ -182,7 +190,7 @@ def run_range(n_min: int, n_max: int, out_dir: Path, threads: int = 1) -> list[P
         "version": __version__,
         "per_n_seconds": {str(s.n): round(s.seconds, 6) for s in summaries},
         "peak_rss_mib": _peak_rss_mib(),
-        "files": {name: _sha256(data) for name, data in contents.items()},
+        "files": {name: "sha256:" + hashlib.sha256(data).hexdigest() for name, data in contents.items()},
     }
     manifest_path = out_dir / "manifest.json"
     _write_atomic(manifest_path, (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode())

@@ -5,7 +5,6 @@ from partition_axis import (
     PartitionGraph,
     central_region,
     compute_axis,
-    compute_spine,
     interaction_graph,
     thick_spine,
 )
@@ -97,7 +96,7 @@ class TestSpine:
     def test_spine_is_axis_union_mediators(self):
         for n in range(3, 18):
             geom = analyze(n).geometry
-            assert geom.spine == compute_spine(geom.axis, geom.mediators)
+            assert geom.spine == geom.axis.union(*geom.mediators.values())
             rebuilt = set(geom.axis)
             for common in geom.mediators.values():
                 rebuilt |= common

@@ -364,6 +364,22 @@ def test_degree_sum_reads_the_recorded_degrees():
     assert [name for name, fn in CHECKS.items() if not fn(broken)[0]] == ["degree_sum"]
 
 
+def test_degree_sum_pins_every_recorded_omega_loc(monkeypatch):
+    # (19,1) records omega_loc 3 at n = 20, below the maximum 6; 4 is
+    # still within [2, deg + 1] = [2, 4] and leaves the argmax as it is,
+    # so past the clique oracle's n only degree_sum's closed form
+    # k + 2 - min(lost) rejects it.
+    a = analyze(20)
+    omega = list(a.profiles[OMEGA_LOC].values)
+    v = a.graph.vertices.index(bytes((19, 1)))
+    assert (omega[v], a.profiles[DEG].values[v], a.profiles[OMEGA_LOC].max_value) == (3, 3, 6)
+    omega[v] = 4
+    broken = _with_profile(a, OMEGA_LOC, values=tuple(omega))
+    monkeypatch.setattr(checks, "analyze", lambda n: broken)
+    failed = [(r.name, r.detail) for r in checks.run_checks(20) if r.failed]
+    assert failed == [("degree_sum", "19,1 has omega_loc 4, closed form 3")]
+
+
 def _raise_deg_max(a):
     # deg peaks at 14, on (5,3,2,1,1) alone
     return _with_profile(a, DEG, max_value=15)

@@ -125,8 +125,13 @@ def test_cli_import_pulls_in_no_network_modules():
     # xml.sax.saxutils imports urllib.request, which loads http.client,
     # email and ssl at every start of the CLI; concurrent.futures'
     # process pool loads multiprocessing, socket, pickle and subprocess,
-    # which only `report --threads` above 1 needs.
-    unwanted = {"xml.sax", "urllib.request", "multiprocessing", "concurrent.futures"}
+    # which only `report --threads` above 1 needs. hashlib loads OpenSSL
+    # (_hashlib), and it and datetime serve only report's manifest; html
+    # escaped nothing that export writes.
+    unwanted = {
+        "xml.sax", "urllib.request", "multiprocessing", "concurrent.futures",
+        "_hashlib", "html", "datetime",
+    }
     code = (
         "import sys, partition_axis.cli; "
         f"print(sorted({unwanted!r} & set(sys.modules)))"

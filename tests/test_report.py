@@ -1,10 +1,13 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import partition_axis
 from partition_axis.invariants import INVARIANTS
 from partition_axis.report import (
     BASIC_AXIAL_HEADER,
@@ -125,6 +128,28 @@ class TestRunRange:
         for name, digest in manifest["files"].items():
             actual = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
             assert digest == f"sha256:{actual}"
+
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc/self/status")
+    def test_manifest_peak_is_the_runs_own(self, tmp_path):
+        # Linux hands a process its launcher's ru_maxrss at exec. The
+        # launcher touches 80 MiB and then starts report, which itself
+        # stays well under 64 MiB for n <= 10.
+        launcher = (
+            "import subprocess, sys\n"
+            "held = b'x' * (80 << 20)\n"
+            "subprocess.run([sys.executable, '-m', 'partition_axis.cli', 'report',"
+            " '--n-min', '1', '--n-max', '10', '--out-dir', sys.argv[1]], check=True)\n"
+        )
+        src = str(Path(partition_axis.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        subprocess.run(
+            [sys.executable, "-c", launcher, str(tmp_path)],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            check=True,
+        )
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert 0 < manifest["peak_rss_mib"] < 64
 
     def test_rerun_replaces_files_and_leaves_no_temporaries(self, tmp_path):
         run_range(1, 7, tmp_path)
