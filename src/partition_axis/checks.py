@@ -456,12 +456,11 @@ def _check_radius_bounds(a: GraphAnalysis) -> Outcome:
 
 def _check_clique_oracle(a: GraphAnalysis) -> Outcome:
     g = a.graph
-    for v in range(g.num_vertices):
+    for v, fast in enumerate(local_clique_number(g)):
         try:
             slow = local_clique_number_oracle(g, v)
         except OracleInfeasibleError:
             return False, f"vertex {v} exceeds the oracle degree bound"
-        fast = local_clique_number(g, v)
         if fast != slow:
             return False, (
                 f"omega_loc disagreement at {format_partition(g.vertices[v])}: "

@@ -42,9 +42,12 @@ class InvariantProfile:
     rho_sp: int | None
 
 
-def local_clique_number(g: PartitionGraph, v: int) -> int:
-    """1 + the clique number of the subgraph induced on N(v): the size of
-    the largest clique of the cover through v.
+def local_clique_number(g: PartitionGraph) -> tuple[int, ...]:
+    """Each vertex v's omega_loc, 1 + the clique number of the subgraph
+    induced on N(v): the size of the largest clique of the cover through
+    v, read off v's slice of incidence_sizes in one pass over all
+    vertices. A vertex that no clique lists has an empty N(v) and gets 1,
+    as the oracle gives it.
 
     A unit transfer is fixed by its (donor size, receiver size) pair,
     receiver 0 meaning a new part. Two neighbours lambda - e_r + e_s are
@@ -64,12 +67,12 @@ def local_clique_number(g: PartitionGraph, v: int) -> int:
     smallest part (at least 2, so it leaves a new size), has
     k(nu) >= k(lambda). Every vertex lies in k(lambda) >= 1 cliques.
     """
-    starts = g.vertex_cliques.starts
-    return max(g.incidence_sizes[starts[v] : starts[v + 1]])
+    sizes = g.incidence_sizes
+    return tuple(max(sizes[a:b]) if a < b else 1 for a, b in pairwise(g.vertex_cliques.starts))
 
 
 def local_clique_number_oracle(g: PartitionGraph, v: int) -> int:
-    """Same value as local_clique_number, by an exhaustive clique search
+    """v's entry of local_clique_number, by an exhaustive clique search
     in N(v) that reads only adjacency rows.
 
     The cliques of N(v) are grown level by level, each listed once: a
@@ -119,7 +122,7 @@ def all_profiles(
     values (see InvariantProfile). deg is the sum of |K| - 1 over the
     cliques K through v, omega_loc the largest |K|.
     """
-    omega = _build_profile(tuple(local_clique_number(g, v) for v in range(g.num_vertices)), geometry)
+    omega = _build_profile(local_clique_number(g), geometry)
     sizes = g.incidence_sizes
     deg = tuple(sum(sizes[a:b]) - (b - a) for a, b in pairwise(g.vertex_cliques.starts))
     return {

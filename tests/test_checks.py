@@ -20,7 +20,7 @@ import pytest
 
 from partition_axis import UNREACHABLE, all_profiles, axial, axial_geometry, checks, format_partition
 from partition_axis.checks import _CHECKS
-from partition_axis.invariants import DEG, DIM_LOC, OMEGA_LOC
+from partition_axis.invariants import DEG, DIM_LOC, OMEGA_LOC, local_clique_number, local_clique_number_oracle
 
 from layout import as_tuples, rows_of, with_conj
 from memo import analyze
@@ -420,12 +420,24 @@ def test_extremal_table_is_rederived(tamper_name):
     assert [check for check, fn in CHECKS.items() if not fn(broken)[0]] == [name]
 
 
-def test_clique_oracle_names_a_vertex_past_the_degree_bound():
-    # vertex 0 lies in one 27-member clique, so it has 26 neighbours
-    a = analyze(9)
+def _one_big_clique(a):
+    # vertices 0..26 make up one clique, so each has 26 neighbours, and
+    # every later vertex lists no clique
     vertex_cliques = ((0,),) * 27 + ((),) * (a.graph.num_vertices - 27)
-    broken = _with_graph(a, cliques=rows_of((range(27),)), vertex_cliques=rows_of(vertex_cliques))
+    return _with_graph(a, cliques=rows_of((range(27),)), vertex_cliques=rows_of(vertex_cliques))
+
+
+def test_clique_oracle_names_a_vertex_past_the_degree_bound():
+    broken = _one_big_clique(analyze(9))
     assert CHECKS["clique_oracle"](broken) == (False, "vertex 0 exceeds the oracle degree bound")
+
+
+def test_a_vertex_in_no_clique_has_local_clique_number_one():
+    # 1 is the oracle's value for an empty neighbourhood
+    g = _one_big_clique(analyze(9)).graph
+    omega = local_clique_number(g)
+    for w in range(27, g.num_vertices):
+        assert omega[w] == 1 == local_clique_number_oracle(g, w)
 
 
 @pytest.mark.parametrize("name", sorted(CHECK_TWINS))

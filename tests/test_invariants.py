@@ -5,10 +5,12 @@ from pathlib import Path
 
 import pytest
 
+import partition_axis
 from partition_axis import (
     OracleInfeasibleError,
     all_profiles,
     build_graph,
+    invariants,
     local_clique_number,
     local_clique_number_oracle,
 )
@@ -47,35 +49,49 @@ def staircase(n):
 class TestLocalCliqueNumber:
     def test_isolated_vertex(self):
         a = analyze(1)
-        assert local_clique_number(a.graph, 0) == 1
+        assert local_clique_number(a.graph)[0] == 1
 
     def test_degree_one_scores_two(self):
         g = analyze(2).graph
-        assert local_clique_number(g, 0) == 2
+        assert local_clique_number(g)[0] == 2
 
     def test_triangle_member(self):
         # (2,2) has exactly the neighbors (3,1) and (2,1,1), themselves adjacent
         g = analyze(4).graph
         v = g.vertices.index(bytes((2, 2)))
         assert len(g.adjacency[v]) == 2
-        assert local_clique_number(g, v) == 3
+        assert local_clique_number(g)[v] == 3
 
     def test_path_center(self):
         # (2,1) sits between (3) and (1,1,1), which are not adjacent
         g = analyze(3).graph
         v = g.vertices.index(bytes((2, 1)))
-        assert local_clique_number(g, v) == 2
+        assert local_clique_number(g)[v] == 2
 
     def test_n29_max_is_eight(self):
         assert analyze(29).profiles[OMEGA_LOC].max_value == 8
+
+    def test_analyze_reads_every_vertex_in_one_call(self, monkeypatch):
+        # all_profiles takes omega_loc in one pass over the cover, as it
+        # takes the degrees, not in one call per vertex
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return local_clique_number(*args)
+
+        monkeypatch.setattr(invariants, "local_clique_number", spy)
+        partition_axis.analyze(12)
+        assert len(calls) == 1
 
 
 class TestOracle:
     def test_agrees_through_n10(self):
         for n in range(1, 11):
             g = analyze(n).graph
+            omega = local_clique_number(g)
             for v in range(g.num_vertices):
-                assert local_clique_number(g, v) == local_clique_number_oracle(g, v)
+                assert omega[v] == local_clique_number_oracle(g, v)
 
     def test_level_wise_search_agrees_with_subsets_and_pivoted_search_through_n14(self):
         for n in range(1, 15):
@@ -88,15 +104,14 @@ class TestOracle:
     def test_agrees_with_pivoted_search_through_n30(self):
         for n in range(1, 31):
             g = analyze(n).graph
-            searched = local_clique_numbers_by_search(g)
-            for v in range(g.num_vertices):
-                assert local_clique_number(g, v) == searched[v], (n, v)
+            assert local_clique_number(g) == tuple(local_clique_numbers_by_search(g)), n
 
     @pytest.mark.parametrize("n", range(31, 35))
     def test_agrees_with_move_count_past_n30(self, n):
         g = build_graph(n)
+        omega = local_clique_number(g)
         for v in range(g.num_vertices):
-            assert local_clique_number(g, v) == local_clique_number_by_moves(g, v), (n, v)
+            assert omega[v] == local_clique_number_by_moves(g, v), (n, v)
 
     def test_isolated(self):
         assert local_clique_number_oracle(analyze(1).graph, 0) == 1

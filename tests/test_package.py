@@ -3,6 +3,7 @@ import importlib
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -210,3 +211,14 @@ def test_readme_library_example_prints_what_it_says():
             exec(line, namespace)
     assert len(shown) >= 3
     assert [(line, got) for line, got, _ in shown] == [(line, expected) for line, _, expected in shown]
+
+
+def test_readme_entry_point_list_is_all_of_dunder_all():
+    # README says its lower-level entry points, with analyze and
+    # GraphAnalysis, are all of partition_axis.__all__. Each of its
+    # bullets names its module's entry points in its first sentence.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\nLower-level entry points", 1)[1].split("\n## Tests\n", 1)[0]
+    bullets = section.split("\n- ")[1:]
+    listed = {name for bullet in bullets for name in re.findall(r"`(\w+)`", re.split(r"\.\s", bullet, maxsplit=1)[0])}
+    assert listed | {"analyze", "GraphAnalysis"} == set(partition_axis.__all__)
